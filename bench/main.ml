@@ -741,19 +741,6 @@ let dataplane_bench ?(k = 8) ~json_path ~assert_speedup () =
    without socket noise. The CI soak (scripts/serve_soak.sh) covers the
    transport. *)
 
-let serve_resolve spec =
-  match String.split_on_char ':' spec with
-  | [ "fattree"; k ] -> (
-    match int_of_string_opt k with
-    | Some k -> Synthesis.fattree_shortest_path (Generators.fattree ~k)
-    | None -> fail "serve bench: bad spec %s" spec)
-  | [ "ring"; n ] -> (
-    match int_of_string_opt n with
-    | Some n -> Synthesis.ring_bgp ~n
-    | None -> fail "serve bench: bad spec %s" spec)
-  | [ "wan" ] -> (Synthesis.wan ()).Synthesis.net
-  | _ -> fail "serve bench: unknown spec %s" spec
-
 let serve_req eng line =
   let resp, _ = Serve_engine.handle_line eng ~queue_depth:0 line in
   (match Json.parse resp with
@@ -770,7 +757,7 @@ let serve_latency ~fixture =
      the same request after a checkpoint/restore round-trip into a
      second engine — what a restarted server pays. *)
   let line = Printf.sprintf "{\"op\":\"compress\",\"network\":\"%s\"}" fixture in
-  let eng = Serve_engine.create ~resolve:serve_resolve () in
+  let eng = Serve_engine.create ~resolve:Op.resolve () in
   let cold_resp = ref "" in
   let (), t_cold = Timing.time (fun () -> cold_resp := serve_req eng line) in
   let (), t_warm = Timing.time (fun () -> ignore (serve_req eng line : string)) in
@@ -780,7 +767,7 @@ let serve_latency ~fixture =
     | Ok n -> n
     | Error e -> fail "serve bench: checkpoint: %s" e
   in
-  let eng' = Serve_engine.create ~resolve:serve_resolve () in
+  let eng' = Serve_engine.create ~resolve:Op.resolve () in
   (match Serve_engine.restore eng' ~path:ckpt with
   | `Restored n when n = saved -> ()
   | `Restored n -> fail "serve bench: restored %d of %d networks" n saved
@@ -801,7 +788,7 @@ let serve_latency ~fixture =
 let serve_bench ?(k = 6) ?(n_requests = 200) ~json_path () =
   hr "Resident engine (bonsai serve)";
   let fixture = Printf.sprintf "fattree:%d" k in
-  let eng = Serve_engine.create ~resolve:serve_resolve () in
+  let eng = Serve_engine.create ~resolve:Op.resolve () in
   let (), t_load =
     Timing.time (fun () ->
         ignore
@@ -975,15 +962,7 @@ let modular_bench ?(regions = 50) ?(region_size = 40) ~mono_budget_s
         | Error e -> fail "modular bench: %a" Bonsai_error.pp e)
   in
   let mod_peak = peak_mb () in
-  let faulted =
-    List.length
-      (List.filter
-         (fun m ->
-           match m.Modular.mr_health with
-           | Modular.Degraded | Modular.Refuted -> true
-           | Modular.Healthy | Modular.Retried -> false)
-         rep.Modular.rp_modules)
-  in
+  let faulted = List.length (Modular.faulted rep) in
   let concrete =
     List.fold_left
       (fun a m -> a + m.Modular.mr_concrete)

@@ -7,71 +7,15 @@
      bonsai roles datacenter
 
    Network specifications: fattree:K, fattree-prefer:K, ring:N, mesh:N,
-   random:N[:SEED], datacenter, wan. *)
+   random:N[:SEED], datacenter, wan.
 
-(* A bad network spec / router name on the command line: reported as a
-   usage error, not as one of the typed pipeline failures. *)
-exception Usage of string
+   The ops `bonsai serve` also answers (compress, lint, flow, diff,
+   dataplane-diff, faults, harden, modular) live in lib/ops: a command
+   here maps its flags to the op's params, calls its [run] and renders
+   the result — [--format json] prints the op's one JSON document, the
+   same object serve returns. *)
 
-(* Resolves a network spec; [file:PATH] networks additionally carry a
-   source location table for file:line diagnostics. Raises
-   [Bonsai_error.Error (Parse_error _)] for an unparsable file and [Usage]
-   for an unknown spec — both handled by [guarded] below, mapping parse
-   errors to their dedicated exit code. *)
-let resolve_network_full spec =
-  let fail () =
-    raise
-      (Usage
-         (Printf.sprintf
-            "unknown network %S (expected fattree:K, fattree-prefer:K, \
-             ring:N, mesh:N, random:N[:SEED], multiwan:R:S, datacenter, \
-             wan, file:PATH)"
-            spec))
-  in
-  let pure net = (net, None) in
-  match String.split_on_char ':' spec with
-  | "file" :: rest -> (
-    match Config_text.load_full (String.concat ":" rest) with
-    | Ok (net, locs) -> (net, Some locs)
-    | Error ds ->
-      Bonsai_error.error (Bonsai_error.Parse_error { diagnostics = ds }))
-  | [ "datacenter" ] -> pure (Synthesis.datacenter ()).Synthesis.net
-  | [ "wan" ] -> pure (Synthesis.wan ()).Synthesis.net
-  | [ "fattree"; k ] -> (
-    match int_of_string_opt k with
-    | Some k -> pure (Synthesis.fattree_shortest_path (Generators.fattree ~k))
-    | None -> fail ())
-  | [ "fattree-prefer"; k ] -> (
-    match int_of_string_opt k with
-    | Some k -> pure (Synthesis.fattree_prefer_bottom (Generators.fattree ~k))
-    | None -> fail ())
-  | [ "ring"; n ] -> (
-    match int_of_string_opt n with
-    | Some n -> pure (Synthesis.ring_bgp ~n)
-    | None -> fail ())
-  | [ "mesh"; n ] -> (
-    match int_of_string_opt n with
-    | Some n -> pure (Synthesis.mesh_bgp ~n)
-    | None -> fail ())
-  | [ "multiwan"; r; s ] -> (
-    (* R regions of S routers each, module-annotated (plus a core
-       module) — the modular-compression workload at any scale. *)
-    match (int_of_string_opt r, int_of_string_opt s) with
-    | Some regions, Some region_size ->
-      pure (Synthesis.multiwan ~regions ~region_size).Synthesis.net
-    | _ -> fail ())
-  | [ "random"; n ] | [ "random"; n; _ ] -> (
-    let seed =
-      match String.split_on_char ':' spec with
-      | [ _; _; s ] -> Option.value ~default:0 (int_of_string_opt s)
-      | _ -> 0
-    in
-    match int_of_string_opt n with
-    | Some n -> pure (Synthesis.random_network ~n ~seed)
-    | None -> fail ())
-  | _ -> fail ()
-
-let resolve_network spec = fst (resolve_network_full spec)
+let resolve_network = Op.resolve
 
 let network_arg =
   Cmdliner.Arg.(
@@ -89,7 +33,7 @@ let network_arg =
 let guarded f =
   match f () with
   | code -> code
-  | exception Usage m ->
+  | exception Op.Usage m ->
     Format.eprintf "bonsai: %s@." m;
     Cmdliner.Cmd.Exit.cli_error
   | exception Failure m ->
@@ -108,45 +52,23 @@ let make_budget ms ticks =
       ?deadline_s:(Option.map (fun m -> float_of_int m /. 1000.0) ms)
       ?max_ticks:ticks ()
 
-let find_ec net = function
-  | None -> List.hd (Ecs.compute net)
-  | Some p -> (
-    let p = Prefix.of_string p in
-    match
-      List.find_opt
-        (fun ec -> Prefix.equal ec.Ecs.ec_prefix p)
-        (Ecs.compute net)
-    with
-    | Some ec -> ec
-    | None -> Format.kasprintf failwith "no destination class %a" Prefix.pp p)
+(* Elapsed wall clock is nondeterministic, so it goes to stderr; stdout
+   stays golden-testable. *)
+let report_budget budget =
+  if not (Budget.is_infinite budget) then
+    Printf.eprintf "budget: %d ticks consumed, %.3fs elapsed\n%!"
+      (Budget.ticks budget) (Budget.elapsed_s budget)
 
-(* JSON output helpers, shared by every subcommand with --format json:
-   stdout carries exactly one machine-parseable document (or, for watch,
-   one document per line), timings and diagnostics go to stderr. *)
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+(* An op result on stdout: its text rendering, or its one JSON document. *)
+let render format pp to_json r =
+  match format with
+  | `Text -> Format.printf "%a" pp r
+  | `Json -> print_endline (Json.to_string (to_json r))
 
-let bdd_stats_json (st : Bdd.stats) =
-  Printf.sprintf
-    "{\"nodes\": %d, \"apply_hits\": %d, \"apply_misses\": %d, \"ite_hits\": \
-     %d, \"ite_misses\": %d}"
-    st.Bdd.nodes st.Bdd.apply_hits st.Bdd.apply_misses st.Bdd.ite_hits
-    st.Bdd.ite_misses
-
-let degradation_json = function
-  | None -> "null"
-  | Some (d : Bonsai_api.degradation) ->
-    Printf.sprintf "{\"completed\": %d, \"total\": %d}" d.Bonsai_api.deg_completed
-      d.Bonsai_api.deg_total
+let find_router (net : Device.network) name =
+  match Graph.find_by_name net.Device.graph name with
+  | Some v -> v
+  | None -> Format.kasprintf failwith "unknown router %S" name
 
 (* --- info ----------------------------------------------------------- *)
 
@@ -163,31 +85,6 @@ let info_cmd_run spec =
   | Ok () -> Format.printf "configuration: valid@."
   | Error e -> Format.printf "configuration: INVALID (%s)@." e);
   0
-
-(* --- compress --------------------------------------------------------- *)
-
-(* Re-validate the effective-abstraction conditions (paper Figure 4) on a
-   finished abstraction. *)
-let check_violations net (r : Bonsai_api.ec_result) =
-  let _, signature =
-    Compile.edge_signatures
-      ~universe:r.Bonsai_api.abstraction.Abstraction.universe net
-      ~dest:r.Bonsai_api.ec.Ecs.ec_prefix
-  in
-  Check.check r.Bonsai_api.abstraction ~signature
-
-(* Text renderer of the above; true iff clean. *)
-let check_result net (r : Bonsai_api.ec_result) =
-  match check_violations net r with
-  | [] ->
-    Format.printf "check %a: ok@." Prefix.pp r.Bonsai_api.ec.Ecs.ec_prefix;
-    true
-  | vs ->
-    Format.printf "check %a: %d violation%s@." Prefix.pp
-      r.Bonsai_api.ec.Ecs.ec_prefix (List.length vs)
-      (if List.length vs = 1 then "" else "s");
-    List.iter (Format.printf "  %a@." Check.pp_violation) vs;
-    false
 
 (* --- certification ------------------------------------------------------ *)
 
@@ -261,8 +158,10 @@ let run_check_dataplane ~budget ~format net
     Bonsai_error.error
       (Bonsai_error.Soundness_break (Dp_bisim.refutation_string net t rf))
 
-let compress_cmd_run spec ec_prefix dot all check check_dataplane format
-    budget_ms budget_ticks degrade certify audit certificate modules =
+(* --- compress --------------------------------------------------------- *)
+
+let compress_cmd_run spec ec dot all check check_dataplane format budget_ms
+    budget_ticks degrade certify audit certificate modules =
   guarded @@ fun () ->
   let net = resolve_network spec in
   let budget = make_budget budget_ms budget_ticks in
@@ -272,242 +171,59 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
      --all: composition covers every destination class anyway. The
      per-module health table goes to stderr; stdout keeps the normal
      compress shape. *)
-  let modular_summary =
-    match modules with
-    | None -> None
-    | Some mode ->
-      let st =
-        match Modular.run ~mode ~budget net with
-        | Ok st -> st
-        | Error e -> Bonsai_error.error e
-      in
-      Format.eprintf "%a%!" Modular.pp_report (Modular.report st);
-      (match Modular.compose ~budget st with
-      | Ok s -> Some s
-      | Error e -> Bonsai_error.error e)
+  let warm =
+    Option.map
+      (fun mode ->
+        let st = Op.ok_exn (Modular.run ~mode ~budget net) in
+        Format.eprintf "%a%!" Modular.pp_report (Modular.report st);
+        Op.ok_exn (Modular.compose ~budget st))
+      modules
   in
-  let all = all || Option.is_some modular_summary in
-  (* Elapsed wall clock is nondeterministic, so it goes to stderr; the
-     degradation report on stdout stays golden-testable. *)
-  let report_budget () =
-    if not (Budget.is_infinite budget) then
-      Printf.eprintf "budget: %d ticks consumed, %.3fs elapsed\n%!"
-        (Budget.ticks budget) (Budget.elapsed_s budget)
+  let all = all || Option.is_some warm in
+  let r =
+    Op.ok_exn
+      (Op_compress.run ~budget ?warm net
+         { Op_compress.network = spec; ec; all; check; dot })
+  in
+  render format Op_compress.pp Op_compress.to_json r;
+  report_budget budget;
+  let results = List.map (fun row -> row.Op_compress.res) r.Op_compress.rows in
+  (match (format, r.Op_compress.whole, results) with
+  | `Json, None, [ res ] ->
+    Printf.eprintf "compression time: %.3fs\n%!" res.Bonsai_api.time_s
+  | _ -> ());
+  let dp_status =
+    if check_dataplane then run_check_dataplane ~budget ~format net results
+    else `Ok
+  in
+  let cert_status =
+    if certify then
+      run_certify ~budget ~audit ~certificate net
+        (match r.Op_compress.whole with
+        | Some s -> Certify.of_summary ~network:spec net s
+        | None ->
+          {
+            Certify.network = spec;
+            certs = List.map (Certify.of_ec_result net) results;
+          })
+    else `Skipped
   in
   let degrade_exit code = if degrade then 0 else code in
-  let g = net.Device.graph in
-  if all then begin
-    let s =
-      match modular_summary with
-      | Some s -> s
-      | None -> Bonsai_api.compress_exn ~budget net
-    in
-    let checked_ok = ref true in
-    (match format with
-    | `Text ->
-      Format.printf "%a@." Bonsai_api.pp_summary s;
-      report_budget ();
-      checked_ok :=
-        (not check)
-        || List.fold_left
-             (* degraded classes are the identity abstraction — nothing to
-                re-check, and their report line already flags them *)
-             (fun ok r -> (r.Bonsai_api.degraded || check_result net r) && ok)
-             true s.Bonsai_api.results
-    | `Json ->
-      let class_json (r : Bonsai_api.ec_result) =
-        let t = r.Bonsai_api.abstraction in
-        let vs =
-          if check && not r.Bonsai_api.degraded then
-            List.length (check_violations net r)
-          else 0
-        in
-        if vs > 0 then checked_ok := false;
-        Printf.sprintf
-          "{\"destination\": %s, \"abstract_nodes\": %d, \"abstract_links\": \
-           %d, \"degraded\": %b%s}"
-          (json_string
-             (Format.asprintf "%a" Prefix.pp r.Bonsai_api.ec.Ecs.ec_prefix))
-          (Abstraction.n_abstract t)
-          (Graph.n_links t.Abstraction.abs_graph)
-          r.Bonsai_api.degraded
-          (if check then Printf.sprintf ", \"check_violations\": %d" vs
-           else "")
-      in
-      let classes = List.map class_json s.Bonsai_api.results in
-      let bdd =
-        match s.Bonsai_api.results with
-        | r :: _ ->
-          bdd_stats_json
-            (Bdd.stats
-               r.Bonsai_api.abstraction.Abstraction.universe.Policy_bdd.man)
-        | [] -> "null"
-      in
-      Format.printf "{@.";
-      Format.printf "  \"network\": {\"nodes\": %d, \"links\": %d},@."
-        (Graph.n_nodes g) (Graph.n_links g);
-      Format.printf "  \"skipped_anycast\": %d,@." s.Bonsai_api.skipped_anycast;
-      Format.printf "  \"classes\": [%s],@." (String.concat "," classes);
-      Format.printf "  \"degradation\": %s,@."
-        (degradation_json s.Bonsai_api.degradation);
-      Format.printf "  \"bdd\": %s@." bdd;
-      Format.printf "}@.";
-      report_budget ());
-    let dp_status =
-      if check_dataplane then
-        run_check_dataplane ~budget ~format net s.Bonsai_api.results
-      else `Ok
-    in
-    let cert_status =
-      if certify then
-        run_certify ~budget ~audit ~certificate net
-          (Certify.of_summary ~network:spec net s)
-      else `Skipped
-    in
-    match (s.Bonsai_api.degradation, !checked_ok) with
-    | Some _, _ -> degrade_exit 3
-    | None, false -> degrade_exit 1
-    | None, true -> (
-      match (dp_status, cert_status) with
-      | `Incomplete, _ | _, `Incomplete -> degrade_exit 3
-      | `Ok, (`Certified | `Skipped) -> 0)
-  end
-  else begin
-    let ec = find_ec net ec_prefix in
-    (* Identity fallback built against a fresh, un-budgeted universe (the
-       budgeted manager may be what ran out). *)
-    let fallback () =
-      let universe = Policy_bdd.universe_of_network net in
-      {
-        Bonsai_api.ec;
-        abstraction =
-          Abstraction.identity net ~dest:(Ecs.single_origin ec)
-            ~dest_prefix:ec.Ecs.ec_prefix ~universe;
-        refine_stats = { Refine.iterations = 0; splits = 0 };
-        time_s = 0.0;
-        degraded = true;
-      }
-    in
-    let r, why =
-      match Bonsai_api.compress_ec ~budget net ec with
-      | Ok r -> (r, None)
-      | Error (Bonsai_error.Budget_exceeded info) ->
-        (fallback (), Some (`Budget info))
-      | Error e -> Bonsai_error.error e
-    in
-    let r, why =
-      if check && why = None then begin
-        let ok =
-          match format with
-          | `Text -> check_result net r
-          | `Json -> check_violations net r = []
-        in
-        if ok then (r, why) else (fallback (), Some `Check)
-      end
-      else (r, why)
-    in
-    let t = r.Bonsai_api.abstraction in
-    (match dot with
-    | None -> ()
-    | Some path -> Dot.write_file ~path t.Abstraction.abs_graph);
-    (match format with
-    | `Text ->
-      Format.printf "%a@." Abstraction.pp_summary t;
-      Format.printf "compression time: %.3fs (%d refinement iterations)@."
-        r.Bonsai_api.time_s r.Bonsai_api.refine_stats.Refine.iterations;
-      (* the identity fallback has one role per node — listing it is noise *)
-      if not r.Bonsai_api.degraded then
-        Array.iteri
-          (fun gid members ->
-            Format.printf "  role %d (%d node%s%s): %s@." gid
-              (List.length members)
-              (if List.length members = 1 then "" else "s")
-              (if t.Abstraction.copies.(gid) > 1 then
-                 Printf.sprintf ", %d copies" t.Abstraction.copies.(gid)
-               else "")
-              (String.concat ", "
-                 (List.map (Graph.name net.Device.graph)
-                    (List.filteri (fun i _ -> i < 6) members)
-                 @ if List.length members > 6 then [ "..." ] else [])))
-          t.Abstraction.groups;
-      (match dot with
-      | None -> ()
-      | Some path -> Format.printf "abstract topology written to %s@." path);
-      (match why with
-      | None -> ()
-      | Some (`Budget info) ->
-        Format.printf "@[<v>%a@]@." Bonsai_api.pp_degradation
-          {
-            Bonsai_api.deg_info = info;
-            deg_completed = 0;
-            deg_total = 1;
-          }
-      | Some `Check ->
-        Format.printf
-          "DEGRADED: abstraction failed --check; fell back to the identity \
-           abstraction (abstract network = concrete network)@.")
-    | `Json ->
-      (* Wall time is nondeterministic; it goes to stderr so the JSON
-         document stays golden-testable. *)
-      let roles_json =
-        if r.Bonsai_api.degraded then []
-        else
-          Array.to_list
-            (Array.mapi
-               (fun gid members ->
-                 Printf.sprintf
-                   "{\"id\": %d, \"copies\": %d, \"members\": [%s]}" gid
-                   t.Abstraction.copies.(gid)
-                   (String.concat ","
-                      (List.map
-                         (fun u ->
-                           json_string (Graph.name net.Device.graph u))
-                         members)))
-               t.Abstraction.groups)
-      in
-      Format.printf "{@.";
-      Format.printf "  \"network\": {\"nodes\": %d, \"links\": %d},@."
-        (Graph.n_nodes g) (Graph.n_links g);
-      Format.printf "  \"destination\": %s,@."
-        (json_string
-           (Format.asprintf "%a" Prefix.pp r.Bonsai_api.ec.Ecs.ec_prefix));
-      Format.printf "  \"abstraction\": {\"nodes\": %d, \"links\": %d},@."
-        (Abstraction.n_abstract t)
-        (Graph.n_links t.Abstraction.abs_graph);
-      Format.printf "  \"refine_iterations\": %d,@."
-        r.Bonsai_api.refine_stats.Refine.iterations;
-      Format.printf "  \"roles\": [%s],@." (String.concat "," roles_json);
-      Format.printf "  \"degraded\": %b,@." r.Bonsai_api.degraded;
-      Format.printf "  \"fallback\": %s,@."
-        (json_string
-           (match why with
-           | None -> "none"
-           | Some (`Budget _) -> "budget"
-           | Some `Check -> "check"));
-      Format.printf "  \"bdd\": %s@."
-        (bdd_stats_json
-           (Bdd.stats t.Abstraction.universe.Policy_bdd.man));
-      Format.printf "}@.";
-      Printf.eprintf "compression time: %.3fs\n%!" r.Bonsai_api.time_s);
-    report_budget ();
-    let dp_status =
-      if check_dataplane then run_check_dataplane ~budget ~format net [ r ]
-      else `Ok
-    in
-    let cert_status =
-      if certify then
-        run_certify ~budget ~audit ~certificate net
-          { Certify.network = spec; certs = [ Certify.of_ec_result net r ] }
-      else `Skipped
-    in
-    match why with
-    | None -> (
-      match (dp_status, cert_status) with
-      | `Incomplete, _ | _, `Incomplete -> degrade_exit 3
-      | `Ok, (`Certified | `Skipped) -> 0)
-    | Some (`Budget _) -> degrade_exit 3
-    | Some `Check -> degrade_exit 1
-  end
+  let failed_check =
+    List.exists
+      (fun row ->
+        match row.Op_compress.violations with
+        | Some (_ :: _) -> true
+        | _ -> false)
+      r.Op_compress.rows
+  in
+  match (r.Op_compress.degradation, failed_check) with
+  | Some _, _ -> degrade_exit 3
+  | None, true -> degrade_exit 1
+  | None, false -> (
+    match (dp_status, cert_status) with
+    | `Incomplete, _ | _, `Incomplete -> degrade_exit 3
+    | `Ok, (`Certified | `Skipped) -> 0)
 
 (* --- modular: per-module compression with fault isolation --------------- *)
 
@@ -525,132 +241,41 @@ let modular_cmd_run spec mode count format budget_ms budget_ticks degrade
                     escalated slice\n%!" name ms;
     Unix.sleepf (float_of_int ms /. 1000.0)
   in
-  let report_budget () =
-    if not (Budget.is_infinite budget) then
-      Printf.eprintf "budget: %d ticks consumed, %.3fs elapsed\n%!"
-        (Budget.ticks budget) (Budget.elapsed_s budget)
+  let r =
+    Op.ok_exn
+      (Op_modular.run ~budget ~retry_pause ~resolve:resolve_network
+         { Op_modular.network = spec; mode; count; certify; inject_fault })
   in
-  let finish (rp : Modular.report) =
-    (match format with
-    | `Text -> Format.printf "%a%!" Modular.pp_report rp
-    | `Json ->
-      print_endline (Json.to_string (Json.Obj (Modular.report_json_fields rp))));
-    report_budget ();
-    let refuted =
-      List.exists
-        (fun (mr : Modular.module_report) ->
-          mr.Modular.mr_health = Modular.Refuted)
-        rp.Modular.rp_modules
-    in
-    if refuted then
-      (* a refuted certificate is never masked by --degrade *)
-      Bonsai_error.exit_code (Bonsai_error.Certificate_failure "")
-    else if Modular.any_fault rp && not degrade then 3
-    else 0
-  in
-  match String.split_on_char ':' spec with
-  | [ "multiwan-stream"; r; s ] -> (
-    (* The 10k-router path: modules are synthesized, compressed, and
-       dropped one at a time — the whole network never materializes. *)
-    match (int_of_string_opt r, int_of_string_opt s) with
-    | Some regions, Some region_size -> (
-      let seq = Synthesis.multiwan_stream ~regions ~region_size in
-      match
-        Modular.run_stream ~budget ~certify ~inject_fault ~retry_pause
-          ~count:regions seq
-      with
-      | Ok rp -> finish rp
-      | Error e -> Bonsai_error.error e)
-    | _ ->
-      raise (Usage "multiwan-stream spec is multiwan-stream:REGIONS:SIZE"))
-  | _ -> (
-    let net = resolve_network spec in
-    match
-      Modular.run ~mode ?count ~budget ~certify ~inject_fault ~retry_pause
-        net
-    with
-    | Ok st -> finish (Modular.report st)
-    | Error e -> Bonsai_error.error e)
+  render format Op_modular.pp Op_modular.to_json r;
+  report_budget budget;
+  if Op_modular.refuted r then
+    (* a refuted certificate is never masked by --degrade *)
+    Bonsai_error.exit_code (Bonsai_error.Certificate_failure "")
+  else if Modular.any_fault r.Op_modular.report && not degrade then 3
+  else 0
 
 (* --- diff / watch: incremental recompression --------------------------- *)
-
-(* Everything deterministic about an [Incr.report]; wall time is printed
-   separately (stderr for diff, inline for watch events, which are not
-   golden-tested). *)
-let report_json ?(recert = false) (rep : Incr.report) =
-  Printf.sprintf
-    "\"classes\": %d, \"reused\": %d, \"seeded\": %d, \"scratch\": %d, \
-     \"full_rebuild\": %b,%s \"cache\": {\"hits\": %d, \"misses\": %d}, \
-     \"degradation\": %s"
-    rep.Incr.r_ecs rep.Incr.r_reused rep.Incr.r_seeded rep.Incr.r_scratch
-    rep.Incr.r_full_rebuild
-    (if recert then
-       Printf.sprintf " \"recertified\": %d, \"recert_refuted\": %d,"
-         rep.Incr.r_recertified rep.Incr.r_recert_refuted
-     else "")
-    rep.Incr.r_cache_hits rep.Incr.r_cache_misses
-    (degradation_json rep.Incr.r_degradation)
-
-let deltas_json deltas =
-  String.concat "," (List.map (fun d -> json_string (Delta.to_string d)) deltas)
-
-let report_text ?(recert = false) (rep : Incr.report) =
-  Format.printf "classes: %d (%d reused, %d seeded, %d scratch)%s@."
-    rep.Incr.r_ecs rep.Incr.r_reused rep.Incr.r_seeded rep.Incr.r_scratch
-    (if rep.Incr.r_full_rebuild then " [full rebuild]" else "");
-  if recert then
-    Format.printf "re-certified: %d (%d refuted, recomputed from scratch)@."
-      rep.Incr.r_recertified rep.Incr.r_recert_refuted;
-  Format.printf "signature cache: %d hits, %d misses@." rep.Incr.r_cache_hits
-    rep.Incr.r_cache_misses;
-  match rep.Incr.r_degradation with
-  | None -> ()
-  | Some d -> Format.printf "@[<v>%a@]@." Bonsai_api.pp_degradation d
 
 let diff_cmd_run old_spec new_spec format budget_ms budget_ticks degrade
     certify audit certificate =
   guarded @@ fun () ->
   let old_net = resolve_network old_spec in
   let new_net = resolve_network new_spec in
-  let deltas = Delta.diff old_net new_net in
-  if deltas = [] then begin
-    (match format with
-    | `Text -> Format.printf "networks are identical@."
-    | `Json -> Format.printf "{\"identical\": true, \"deltas\": []}@.");
-    0
-  end
-  else begin
-    let budget = make_budget budget_ms budget_ticks in
-    let st =
-      match Incr.init ~budget old_net with
-      | Ok st -> st
-      | Error e -> Bonsai_error.error e
-    in
-    let rep =
-      match
-        Incr.recompress ~budget
-          ?recertify:(if certify then Some audit else None)
-          st deltas
-      with
-      | Ok rep -> rep
-      | Error e -> Bonsai_error.error e
-    in
-    let bdd = Incr.bdd_stats st in
-    (match format with
-    | `Text ->
-      Format.printf "deltas (%d):@." (List.length deltas);
-      List.iter (fun d -> Format.printf "  - %a@." Delta.pp d) deltas;
-      report_text ~recert:certify rep;
-      Format.printf "bdd: %a@." Bdd.pp_stats bdd
-    | `Json ->
-      Format.printf "{@.";
-      Format.printf "  \"identical\": false,@.";
-      Format.printf "  \"deltas\": [%s],@." (deltas_json deltas);
-      Format.printf "  %s,@." (report_json ~recert:certify rep);
-      Format.printf "  \"bdd\": %s@." (bdd_stats_json bdd);
-      Format.printf "}@.");
+  let budget = make_budget budget_ms budget_ticks in
+  let r =
+    Op.ok_exn
+      (Op_diff.run ~budget ~new_net old_net
+         {
+           Op_diff.network = old_spec;
+           to_ = new_spec;
+           recertify = (if certify then Some audit else None);
+         })
+  in
+  render format Op_diff.pp Op_diff.to_json r;
+  match (r.Op_diff.state, r.Op_diff.report) with
+  | Some st, Some rep ->
     Printf.eprintf "diff: %d deltas recompressed in %.3fs\n%!"
-      (List.length deltas) rep.Incr.r_time_s;
+      (List.length r.Op_diff.deltas) rep.Incr.r_time_s;
     (* certify the maintained state the recompression actually produced —
        the reuse ladder is part of what the certificate distrusts *)
     let cert_status =
@@ -659,13 +284,11 @@ let diff_cmd_run old_spec new_spec format budget_ms budget_ticks degrade
           (Certify.of_summary ~network:new_spec new_net (Incr.summary st))
       else `Skipped
     in
-    match rep.Incr.r_degradation with
-    | Some _ when not degrade -> 3
-    | _ -> (
-      match cert_status with
-      | `Incomplete when not degrade -> 3
-      | _ -> 1)
-  end
+    (match (Op.gate ~degrade rep.Incr.r_degradation, cert_status) with
+    | Error e, _ -> Bonsai_error.exit_code e
+    | Ok (), `Incomplete when not degrade -> 3
+    | Ok (), _ -> 1)
+  | _ -> 0
 
 (* --- dataplane-diff: differential FIB compilation --------------------- *)
 
@@ -675,112 +298,18 @@ let dataplane_diff_cmd_run old_spec new_spec format budget_ms budget_ticks
   let old_net = resolve_network old_spec in
   let new_net = resolve_network new_spec in
   let budget = make_budget budget_ms budget_ticks in
-  let deltas = Delta.diff old_net new_net in
-  let rep =
-    match Dp_diff.run ~budget ~old_net ~new_net deltas with
-    | Ok rep -> rep
-    | Error e -> Bonsai_error.error e
+  let r =
+    Op.ok_exn
+      (Op_dataplane_diff.run ~budget ~new_net old_net
+         { Op_dataplane_diff.network = old_spec; to_ = new_spec })
   in
-  let name u = Graph.name new_net.Device.graph u in
-  let old_name u = Graph.name old_net.Device.graph u in
-  let hops nm = function
-    | None -> "-"
-    | Some (e : Dataplane.entry) ->
-      let nhs = String.concat "," (List.map nm e.Dataplane.e_next_hops) in
-      let dropped =
-        match e.Dataplane.e_acl_dropped with
-        | [] -> ""
-        | ds ->
-          Printf.sprintf " (acl-dropped %s)"
-            (String.concat "," (List.map nm ds))
-      in
-      Printf.sprintf "[%s]%s" nhs dropped
-  in
-  let added, removed, modified = Dp_diff.counts rep in
-  (match format with
-  | `Text ->
-    Format.printf "deltas (%d):@." (List.length deltas);
-    List.iter (fun d -> Format.printf "  - %a@." Delta.pp d) deltas;
-    Format.printf "classes: %d (%d reused, %d recompiled)%s@."
-      rep.Dp_diff.dp_classes rep.Dp_diff.dp_reused rep.Dp_diff.dp_recompiled
-      (if rep.Dp_diff.dp_full_rebuild then " [full rebuild]" else "");
-    Format.printf "fib changes: %d added, %d removed, %d modified@." added
-      removed modified;
-    List.iter
-      (fun (c : Dp_diff.change) ->
-        let router =
-          match c.Dp_diff.c_kind with
-          | Dp_diff.Removed -> old_name c.Dp_diff.c_router
-          | _ -> name c.Dp_diff.c_router
-        in
-        let sym =
-          match c.Dp_diff.c_kind with
-          | Dp_diff.Added -> "+"
-          | Dp_diff.Removed -> "-"
-          | Dp_diff.Modified -> "~"
-        in
-        Format.printf "  %s %s %a: %s -> %s@." sym router Prefix.pp
-          c.Dp_diff.c_prefix
-          (hops old_name c.Dp_diff.c_old)
-          (hops name c.Dp_diff.c_new))
-      rep.Dp_diff.dp_changes;
-    List.iter
-      (fun p -> Format.printf "  ? %a: unknown (not compiled)@." Prefix.pp p)
-      rep.Dp_diff.dp_unknown;
-    (match rep.Dp_diff.dp_degradation with
-    | None -> ()
-    | Some d -> Format.printf "@[<v>%a@]@." Bonsai_api.pp_degradation d)
-  | `Json ->
-    let change_json (c : Dp_diff.change) =
-      let entry_json nm = function
-        | None -> "null"
-        | Some (e : Dataplane.entry) ->
-          Printf.sprintf "{\"next_hops\": [%s], \"acl_dropped\": [%s]}"
-            (String.concat ","
-               (List.map (fun u -> json_string (nm u)) e.Dataplane.e_next_hops))
-            (String.concat ","
-               (List.map (fun u -> json_string (nm u)) e.Dataplane.e_acl_dropped))
-      in
-      let router =
-        match c.Dp_diff.c_kind with
-        | Dp_diff.Removed -> old_name c.Dp_diff.c_router
-        | _ -> name c.Dp_diff.c_router
-      in
-      Printf.sprintf
-        "{\"router\": %s, \"prefix\": %s, \"kind\": %s, \"old\": %s, \
-         \"new\": %s}"
-        (json_string router)
-        (json_string (Format.asprintf "%a" Prefix.pp c.Dp_diff.c_prefix))
-        (json_string (Dp_diff.kind_string c.Dp_diff.c_kind))
-        (entry_json old_name c.Dp_diff.c_old)
-        (entry_json name c.Dp_diff.c_new)
-    in
-    Format.printf "{@.";
-    Format.printf "  \"identical\": %b,@."
-      (not (Dp_diff.changed rep) && rep.Dp_diff.dp_unknown = []);
-    Format.printf "  \"deltas\": [%s],@." (deltas_json deltas);
-    Format.printf
-      "  \"classes\": %d, \"reused\": %d, \"recompiled\": %d, \
-       \"anycast\": %d, \"full_rebuild\": %b,@."
-      rep.Dp_diff.dp_classes rep.Dp_diff.dp_reused rep.Dp_diff.dp_recompiled
-      rep.Dp_diff.dp_anycast rep.Dp_diff.dp_full_rebuild;
-    Format.printf "  \"added\": %d, \"removed\": %d, \"modified\": %d,@."
-      added removed modified;
-    Format.printf "  \"changes\": [%s],@."
-      (String.concat "," (List.map change_json rep.Dp_diff.dp_changes));
-    Format.printf "  \"unknown\": [%s],@."
-      (String.concat ","
-         (List.map
-            (fun p -> json_string (Format.asprintf "%a" Prefix.pp p))
-            rep.Dp_diff.dp_unknown));
-    Format.printf "  \"degradation\": %s@."
-      (degradation_json rep.Dp_diff.dp_degradation);
-    Format.printf "}@.");
+  render format Op_dataplane_diff.pp Op_dataplane_diff.to_json r;
+  let rep = r.Op_dataplane_diff.rep in
   Printf.eprintf "dataplane-diff: %d classes diffed in %.3fs\n%!"
     rep.Dp_diff.dp_classes rep.Dp_diff.dp_time_s;
   match rep.Dp_diff.dp_unknown with
   | _ :: _ when not degrade -> 3
-  | _ -> if Dp_diff.changed rep then 1 else 0
+  | _ -> if Op_dataplane_diff.changed r then 1 else 0
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -829,17 +358,19 @@ let watch_cmd_run path poll_ms once max_events format budget_ms budget_ticks
     | Error ds ->
       Bonsai_error.error (Bonsai_error.Parse_error { diagnostics = ds })
   in
-  let st =
-    match Incr.init ~budget:(make_budget budget_ms budget_ticks) net0 with
-    | Ok st -> st
-    | Error e -> Bonsai_error.error e
-  in
+  let st = Op.ok_exn (Incr.init ~budget:(make_budget budget_ms budget_ticks) net0) in
   let s = Incr.summary st in
-  let hits, misses = Incr.cache_stats st in
   let g = net0.Device.graph in
   let n_classes = List.length s.Bonsai_api.results in
+  (* watch emits one JSON document per line (NDJSON) so consumers can
+     stream events *)
+  let event name fields =
+    print_endline
+      (Json.to_string (Json.Obj (("event", Json.String name) :: fields)))
+  in
   (match format with
   | `Text ->
+    let hits, misses = Incr.cache_stats st in
     Format.printf
       "watch: %d nodes, %d links; %d classes compressed (cache %d hits, %d \
        misses)@."
@@ -848,17 +379,17 @@ let watch_cmd_run path poll_ms once max_events format budget_ms budget_ticks
     | None -> ()
     | Some d -> Format.printf "@[<v>%a@]@." Bonsai_api.pp_degradation d)
   | `Json ->
-    (* watch emits one JSON document per line (NDJSON) so consumers can
-       stream events *)
-    Printf.printf
-      "{\"event\": \"init\", \"nodes\": %d, \"links\": %d, \"classes\": %d, \
-       \"cache\": {\"hits\": %d, \"misses\": %d}, \"degradation\": %s}\n%!"
-      (Graph.n_nodes g) (Graph.n_links g) n_classes hits misses
-      (degradation_json s.Bonsai_api.degradation));
+    event "init"
+      [
+        ("nodes", Json.Int (Graph.n_nodes g));
+        ("links", Json.Int (Graph.n_links g));
+        ("classes", Json.Int n_classes);
+        ("degradation", Op.degradation_json s.Bonsai_api.degradation);
+      ]);
   if once then
-    match s.Bonsai_api.degradation with
-    | Some _ when not degrade -> 3
-    | _ -> 0
+    match Op.gate ~degrade s.Bonsai_api.degradation with
+    | Error e -> Bonsai_error.exit_code e
+    | Ok () -> 0
   else begin
     let last = ref text0 in
     let events = ref 0 in
@@ -866,22 +397,23 @@ let watch_cmd_run path poll_ms once max_events format budget_ms budget_ticks
       (match format with
       | `Text ->
         Format.printf "watch: %d delta%s@." (List.length deltas)
-          (if List.length deltas = 1 then "" else "s");
-        List.iter (fun d -> Format.printf "  - %a@." Delta.pp d) deltas;
-        report_text rep;
+          (Op.plural (List.length deltas));
+        Op_diff.pp_deltas Format.std_formatter deltas;
+        Op_diff.pp_report Format.std_formatter rep;
         Format.printf "time: %.3fs@." rep.Incr.r_time_s
       | `Json ->
-        Printf.printf
-          "{\"event\": \"recompress\", \"deltas\": [%s], %s, \"time_s\": \
-           %.3f}\n%!"
-          (deltas_json deltas) (report_json rep) rep.Incr.r_time_s);
+        event "recompress"
+          (("deltas", Json.Int (List.length deltas))
+          :: ("delta_list", Op.deltas_json deltas)
+          :: Op_diff.report_fields ~recert:false rep
+          @ [ ("degradation", Op.degradation_json rep.Incr.r_degradation) ]));
       incr events
     in
     (* Consecutive read/parse failures back off exponentially (capped):
        a file that stays broken — deleted, permission flip, an editor
        that crashed mid-save — must not make the watcher spin at the
        poll rate forever. Any successfully parsed snapshot resets the
-       backoff. The policy itself lives in Backoff (lib/serve), where
+       backoff. The policy itself lives in Backoff (lib/guard), where
        the cap and the never-below-base invariant are unit-tested. *)
     let bo = Backoff.create ~base_ms:poll_ms () in
     let note_failure () =
@@ -889,7 +421,13 @@ let watch_cmd_run path poll_ms once max_events format budget_ms budget_ticks
       if ms > poll_ms then
         Printf.eprintf "watch: backing off to %dms after %d failure%s\n%!" ms
           (Backoff.failures bo)
-          (if Backoff.failures bo = 1 then "" else "s")
+          (Op.plural (Backoff.failures bo))
+    in
+    let recompress f =
+      match f (make_budget budget_ms budget_ticks) with
+      | Error e ->
+        Printf.eprintf "watch: %s\n%!" (Format.asprintf "@[%a@]" Bonsai_error.pp e)
+      | Ok (deltas, rep) -> report_event deltas rep
     in
     let rec loop () =
       Unix.sleepf (float_of_int (Backoff.sleep_ms bo) /. 1000.0);
@@ -934,38 +472,24 @@ let watch_cmd_run path poll_ms once max_events format budget_ms budget_ticks
               "watch: parse error (%d diagnostic%s); keeping the previous \
                network\n%!"
               (List.length ds)
-              (if List.length ds = 1 then "" else "s");
+              (Op.plural (List.length ds));
             List.iter
               (fun (line, m) -> Printf.eprintf "  line %d: %s\n%!" line m)
               ds;
             note_failure ()
-          | names -> (
+          | names ->
             Backoff.reset bo;
             Printf.eprintf
               "watch: %d router%s no longer defined; treating as node \
                removal\n%!"
               (List.length names)
-              (if List.length names = 1 then "" else "s");
+              (Op.plural (List.length names));
             let deltas = List.map (fun n -> Delta.Node_remove n) names in
-            match
-              Incr.recompress
-                ~budget:(make_budget budget_ms budget_ticks)
-                st deltas
-            with
-            | Error e ->
-              Printf.eprintf "watch: %s\n%!"
-                (Format.asprintf "@[%a@]" Bonsai_error.pp e)
-            | Ok rep -> report_event deltas rep))
-        | Ok (net', _) -> (
+            recompress (fun budget ->
+                Result.map (fun rep -> (deltas, rep)) (Incr.recompress ~budget st deltas)))
+        | Ok (net', _) ->
           Backoff.reset bo;
-          match
-            Incr.recompress_net ~budget:(make_budget budget_ms budget_ticks)
-              st net'
-          with
-          | Error e ->
-            Printf.eprintf "watch: %s\n%!"
-              (Format.asprintf "@[%a@]" Bonsai_error.pp e)
-          | Ok (deltas, rep) -> report_event deltas rep)));
+          recompress (fun budget -> Incr.recompress_net ~budget st net')));
       if max_events > 0 && !events >= max_events then 0 else loop ()
     in
     loop ()
@@ -983,14 +507,19 @@ let lint_cmd_run spec format min_severity no_compression flow budget_ms
     0
   end
   else begin
-    let net, locs = resolve_network_full spec in
-    let budget = make_budget budget_ms budget_ticks in
-    let ds = Lint.run ?locs ~compression:(not no_compression) ~flow ~budget net in
-    let shown = Lint.filter ~min_severity ds in
-    (match format with
-    | `Text -> Format.printf "%a" Lint.pp_text shown
-    | `Json -> Format.printf "%a" Lint.pp_json shown);
-    if Lint.has_errors ds then 1 else 0
+    let net, locs = Op.resolve_full spec in
+    let r =
+      Op.ok_exn
+        (Op_lint.run ?locs ~budget:(make_budget budget_ms budget_ticks) net
+           {
+             Op_lint.network = spec;
+             compression = not no_compression;
+             flow;
+             min_severity;
+           })
+    in
+    render format Op_lint.pp Op_lint.to_json r;
+    if Op_lint.errors r then 1 else 0
   end
 
 (* --- flow --------------------------------------------------------------- *)
@@ -999,96 +528,21 @@ let lint_cmd_run spec format min_severity no_compression flow budget_ms
    codes: 0 clean, 1 at least one warning-or-error finding, 3 the dataflow
    budget ran out (facts degraded to Unknown; the degradation is reported
    instead of verdicts computed from partial state). *)
-let flow_cmd_run spec ec_prefix format facts budget_ms budget_ticks =
+let flow_cmd_run spec ec format facts budget_ms budget_ticks =
   guarded @@ fun () ->
-  let net, locs = resolve_network_full spec in
-  let budget = make_budget budget_ms budget_ticks in
-  let ds = Lint_flow.run ?locs ~budget net in
-  let ds = List.sort Diag.compare ds in
-  let degraded =
-    List.exists (fun d -> String.equal d.Diag.check "flow-degraded") ds
+  let net, locs = Op.resolve_full spec in
+  let r =
+    Op.ok_exn
+      (Op_flow.run ?locs ~budget:(make_budget budget_ms budget_ticks) net
+         { Op_flow.network = spec; ec; facts })
   in
-  let names = Graph.name net.Device.graph in
-  let fact_dump =
-    if not facts then None
-    else begin
-      let ec = find_ec net ec_prefix in
-      let t = Flow.analyze ~budget net ec in
-      let roles =
-        match Bonsai_api.role_partition net ec with
-        | Ok g -> Some g
-        | Error _ -> None
-      in
-      let rows =
-        List.init (Graph.n_nodes net.Device.graph) (fun r ->
-            let plane p =
-              match Flow.fact t r p with
-              | None -> None
-              | Some f -> Some (Format.asprintf "%a" (Flow.pp_fact ~names) f)
-            in
-            ( r,
-              Option.map (fun g -> g.(r)) roles,
-              plane Flow.Bgp,
-              plane Flow.Ospf ))
-      in
-      Some (ec, rows)
-    end
-  in
-  (match format with
-  | `Text ->
-    List.iter (fun d -> Format.printf "%a@." Diag.pp d) ds;
-    Format.printf "%d finding%s@." (List.length ds)
-      (if List.length ds = 1 then "" else "s");
-    (match fact_dump with
-    | None -> ()
-    | Some (ec, fact_rows) ->
-      Format.printf "facts for %a:@." Prefix.pp ec.Ecs.ec_prefix;
-      List.iter
-        (fun (r, role, bgp, ospf) ->
-          Format.printf "  %s%s:@." (names r)
-            (match role with
-            | Some g -> Printf.sprintf " (role %d)" g
-            | None -> "");
-          let show plane = function
-            | None -> Format.printf "    %s: unreachable@." plane
-            | Some s -> Format.printf "    %s: %s@." plane s
-          in
-          show "bgp" bgp;
-          show "ospf" ospf)
-        fact_rows)
-  | `Json ->
-    let diag_items = String.concat "," (List.map Diag.to_json ds) in
-    let fact_field =
-      match fact_dump with
-      | None -> ""
-      | Some (_, fact_rows) ->
-        Printf.sprintf ", \"facts\": [%s]"
-          (String.concat ","
-             (List.map
-                (fun (r, role, bgp, ospf) ->
-                  Printf.sprintf
-                    "{\"router\": %s, \"role\": %s, \"bgp\": %s, \"ospf\": %s}"
-                    (json_string (names r))
-                    (match role with
-                    | Some g -> string_of_int g
-                    | None -> "null")
-                    (match bgp with Some s -> json_string s | None -> "null")
-                    (match ospf with Some s -> json_string s | None -> "null"))
-                fact_rows))
-    in
-    Printf.printf "{\"findings\": [%s], \"degraded\": %b%s}\n" diag_items
-      degraded fact_field);
-  if degraded then
+  render format Op_flow.pp Op_flow.to_json r;
+  if r.Op_flow.degraded then
     (* same exit class as every other budget exhaustion *)
     Bonsai_error.exit_code
       (Bonsai_error.Budget_exceeded
          { Budget.phase = "flow"; ticks = 0; elapsed_s = 0.0; note = None })
-  else if
-    List.exists
-      (fun d ->
-        Diag.severity_rank d.Diag.severity >= Diag.severity_rank Diag.Warning)
-      ds
-  then 1
+  else if Op_flow.findings r then 1
   else 0
 
 (* --- verify ------------------------------------------------------------ *)
@@ -1096,12 +550,8 @@ let flow_cmd_run spec ec_prefix format facts budget_ms budget_ticks =
 let verify_cmd_run spec src ec_prefix =
   guarded @@ fun () ->
   let net = resolve_network spec in
-  let ec = find_ec net ec_prefix in
-  let src_id =
-    match Graph.find_by_name net.Device.graph src with
-    | Some v -> v
-    | None -> Format.kasprintf failwith "unknown router %S" src
-  in
+  let ec = Op.find_ec net ec_prefix in
+  let src_id = find_router net src in
   let cv, ct =
     Timing.time (fun () -> Reachability.concrete_query net ~src:src_id ~ec)
   in
@@ -1122,11 +572,7 @@ let verify_cmd_run spec src ec_prefix =
 let trace_cmd_run spec src_name addr all =
   guarded @@ fun () ->
   let net = resolve_network spec in
-  let src =
-    match Graph.find_by_name net.Device.graph src_name with
-    | Some v -> v
-    | None -> Format.kasprintf failwith "unknown router %S" src_name
-  in
+  let src = find_router net src_name in
   let addr = Ipv4.of_string addr in
   let dp = Dataplane.of_network net in
   Format.printf "data plane: %d classes solved, %d FIB entries@."
@@ -1150,317 +596,39 @@ let trace_cmd_run spec src_name addr all =
 
 (* --- faults ------------------------------------------------------------ *)
 
-let scenario_json ~names (sc : Scenario.t) =
-  let parts =
-    List.map
-      (fun (u, v) -> json_string (Printf.sprintf "%s-%s" (names u) (names v)))
-      sc.Scenario.down_links
-    @ List.map
-        (fun u -> json_string (Printf.sprintf "node:%s" (names u)))
-        sc.Scenario.down_nodes
-  in
-  "[" ^ String.concat "," parts ^ "]"
-
-let faults_cmd_run spec ec_prefix k samples seed format budget_ms
-    budget_ticks =
+let faults_cmd_run spec ec k samples seed format budget_ms budget_ticks =
   guarded @@ fun () ->
   let net = resolve_network spec in
-  let budget = make_budget budget_ms budget_ticks in
-  let ec = find_ec net ec_prefix in
-  let dest = Ecs.single_origin ec in
-  let g = net.Device.graph in
-  let name = Graph.name g in
-  let srp = Compile.bgp_srp net ~dest ~dest_prefix:ec.Ecs.ec_prefix in
-  let plan = Fault_engine.plan ?samples ~seed ~k g in
-  (* One concrete-side cache spans the survey and the soundness sweep:
-     the soundness check re-solves the same scenarios the survey just
-     solved (and shrinking probes sub-scenarios), so sharing avoids the
-     double work and the stats line reports how much was saved. *)
-  let cache = Fault_engine.cache () in
-  let report = Fault_engine.survey ~budget ~cache srp plan in
-  let r = Bonsai_api.compress_ec_exn net ec in
-  let t = r.Bonsai_api.abstraction in
-  let abs_name = Graph.name t.Abstraction.abs_graph in
-  let break_ =
-    Soundness.first_break t ~concrete:srp ~concrete_cache:cache
-      ~abstract_:(Abstraction.bgp_srp t) plan.Fault_engine.scenarios
+  let r =
+    Op.ok_exn
+      (Op_faults.run ~budget:(make_budget budget_ms budget_ticks) net
+         { Op_faults.network = spec; ec; k; samples; seed })
   in
-  let n_scenarios = List.length plan.Fault_engine.scenarios in
-  let disconnected =
-    List.filter_map
-      (function
-        | sc, Fault_engine.Disconnected (_, stranded) -> Some (sc, stranded)
-        | _ -> None)
-      report.Fault_engine.outcomes
-  in
-  let diverged =
-    List.filter_map
-      (function
-        | sc, Fault_engine.Diverged d -> Some (sc, d) | _ -> None)
-      report.Fault_engine.outcomes
-  in
-  let pp_sc = Scenario.pp ~names:name in
-  let side reaches stable =
-    if not stable then "diverged"
-    else if reaches then "reaches"
-    else "does not reach"
-  in
-  (match format with
-  | `Text ->
-    Format.printf "destination %a (originated at %s)@." Prefix.pp
-      ec.Ecs.ec_prefix (name dest);
-    Format.printf "topology: %d nodes, %d links@." (Graph.n_nodes g)
-      (Graph.n_links g);
-    Format.printf "scenarios: %d (%s, up to %d failed link%s)@." n_scenarios
-      (if plan.Fault_engine.exhaustive then "exhaustive" else "sampled")
-      k
-      (if k = 1 then "" else "s");
-    Format.printf "  stable & reachable: %d@." report.Fault_engine.n_stable;
-    Format.printf "  disconnected:       %d@."
-      report.Fault_engine.n_disconnected;
-    Format.printf "  diverged:           %d@." report.Fault_engine.n_diverged;
-    if report.Fault_engine.n_skipped > 0 then
-      Format.printf "  skipped (budget):   %d@." report.Fault_engine.n_skipped;
-    let cap = 12 in
-    if disconnected <> [] then begin
-      Format.printf "disconnected scenarios%s:@."
-        (if List.length disconnected > cap then
-           Printf.sprintf " (first %d of %d)" cap (List.length disconnected)
-         else "");
-      List.iteri
-        (fun i (sc, stranded) ->
-          if i < cap then
-            Format.printf "  %a: %d stranded (%s%s)@." pp_sc sc
-              (List.length stranded)
-              (String.concat ", "
-                 (List.map name (List.filteri (fun i _ -> i < 6) stranded)))
-              (if List.length stranded > 6 then ", ..." else ""))
-        disconnected
-    end;
-    if diverged <> [] then begin
-      Format.printf "diverged scenarios%s:@."
-        (if List.length diverged > cap then
-           Printf.sprintf " (first %d of %d)" cap (List.length diverged)
-         else "");
-      List.iteri
-        (fun i (sc, (d : _ Solver.diagnosis)) ->
-          if i < cap then
-            Format.printf "  %a: %a@." pp_sc sc
-              (Solver.pp_verdict
-                 ~graph:d.Solver.diag_sol.Solution.srp.Srp.graph)
-              d.Solver.diag_verdict)
-        diverged
-    end;
-    Format.printf "abstraction: %d nodes, %d links@." (Abstraction.n_abstract t)
-      (Graph.n_links t.Abstraction.abs_graph);
-    (match break_ with
-    | None ->
-      Format.printf
-        "  fault soundness: ok (verdicts agree on every scenario)@."
-    | Some (sc, m) ->
-      Format.printf "  fault soundness: BROKEN@.";
-      Format.printf "  minimal failing scenario: %a@." pp_sc sc;
-      Format.printf
-        "  first diverging pair: %s vs %s (concrete %s, abstract %s)@."
-        (name m.Soundness.mis_node)
-        (abs_name m.Soundness.mis_abs)
-        (side m.Soundness.concrete_reaches m.Soundness.concrete_stable)
-        (side m.Soundness.abstract_reaches m.Soundness.abstract_stable))
-  | `Json ->
-    let verdict_json (d : _ Solver.diagnosis) =
-      match d.Solver.diag_verdict with
-      | Solver.Oscillation { period; participants } ->
-        Printf.sprintf
-          "\"verdict\":\"oscillation\",\"period\":%d,\"participants\":[%s]"
-          period
-          (String.concat ","
-             (List.map (fun u -> json_string (name u)) participants))
-      | Solver.Likely_convergent -> "\"verdict\":\"likely-convergent\""
-      | Solver.Inconclusive rounds ->
-        Printf.sprintf "\"verdict\":\"inconclusive\",\"rounds\":%d" rounds
-    in
-    Format.printf "{@.";
-    Format.printf "  \"destination\": %s,@."
-      (json_string (Format.asprintf "%a" Prefix.pp ec.Ecs.ec_prefix));
-    Format.printf "  \"nodes\": %d, \"links\": %d,@." (Graph.n_nodes g)
-      (Graph.n_links g);
-    Format.printf "  \"k\": %d, \"mode\": %s, \"scenarios\": %d,@." k
-      (json_string
-         (if plan.Fault_engine.exhaustive then "exhaustive" else "sampled"))
-      n_scenarios;
-    Format.printf "  \"stable\": %d,@." report.Fault_engine.n_stable;
-    if report.Fault_engine.n_skipped > 0 then
-      Format.printf "  \"skipped\": %d,@." report.Fault_engine.n_skipped;
-    Format.printf "  \"disconnected\": [%s],@."
-      (String.concat ","
-         (List.map
-            (fun (sc, stranded) ->
-              Printf.sprintf "{\"scenario\":%s,\"stranded\":[%s]}"
-                (scenario_json ~names:name sc)
-                (String.concat ","
-                   (List.map (fun u -> json_string (name u)) stranded)))
-            disconnected));
-    Format.printf "  \"diverged\": [%s],@."
-      (String.concat ","
-         (List.map
-            (fun (sc, d) ->
-              Printf.sprintf "{\"scenario\":%s,%s}"
-                (scenario_json ~names:name sc)
-                (verdict_json d))
-            diverged));
-    Format.printf "  \"abstraction\": {\"nodes\": %d, %s}@."
-      (Abstraction.n_abstract t)
-      (match break_ with
-      | None -> "\"sound\": true"
-      | Some (sc, m) ->
-        Printf.sprintf
-          "\"sound\": false, \"minimal_scenario\": %s, \"node\": %s, \
-           \"abs_node\": %s, \"concrete_reaches\": %b, \
-           \"abstract_reaches\": %b"
-          (scenario_json ~names:name sc)
-          (json_string (name m.Soundness.mis_node))
-          (json_string (abs_name m.Soundness.mis_abs))
-          m.Soundness.concrete_reaches m.Soundness.abstract_reaches);
-    Format.printf "}@.");
+  render format Op_faults.pp Op_faults.to_json r;
+  let rep = r.Op_faults.report in
+  let n = List.length rep.Fault_engine.plan.Fault_engine.scenarios in
   Printf.eprintf "%d scenarios in %.3fs (%.0f scenarios/sec), %d cache hits\n"
-    n_scenarios report.Fault_engine.time_s
-    (float_of_int n_scenarios /. max 1e-9 report.Fault_engine.time_s)
-    (Fault_engine.cache_hits cache);
-  if
-    report.Fault_engine.n_disconnected + report.Fault_engine.n_diverged > 0
-    || break_ <> None
-  then 1
-  else if report.Fault_engine.n_skipped > 0 then 3
+    n rep.Fault_engine.time_s
+    (float_of_int n /. max 1e-9 rep.Fault_engine.time_s)
+    (Fault_engine.cache_hits r.Op_faults.cache);
+  if Op_faults.failing r then 1
+  else if rep.Fault_engine.n_skipped > 0 then 3
   else 0
 
 (* --- harden ------------------------------------------------------------ *)
 
-let harden_cmd_run spec ec_prefix k rounds frontier samples seed format
-    budget_ms budget_ticks degrade certify audit certificate =
+let harden_cmd_run spec ec k rounds frontier samples seed format budget_ms
+    budget_ticks degrade certify audit certificate =
   guarded @@ fun () ->
   let net = resolve_network spec in
   let budget = make_budget budget_ms budget_ticks in
-  let ec = find_ec net ec_prefix in
-  let dest = Ecs.single_origin ec in
-  let g = net.Device.graph in
-  let name = Graph.name g in
-  let r =
-    match Repair.harden ~k ~rounds ~frontier ?samples ~seed ~budget net ec with
-    | Ok r -> r
-    | Error e -> Bonsai_error.error e
+  let h =
+    Op.ok_exn
+      (Op_harden.run ~budget net
+         { Op_harden.network = spec; ec; k; rounds; frontier; samples; seed })
   in
-  let t = r.Repair.result.Bonsai_api.abstraction in
-  let rn, re = Repair.ratio r in
-  let pp_sc = Scenario.pp ~names:name in
-  let mode = if r.Repair.plan_exhaustive then "exhaustive" else "sampled" in
-  (match format with
-  | `Text ->
-    Format.printf "destination %a (originated at %s)@." Prefix.pp
-      ec.Ecs.ec_prefix (name dest);
-    Format.printf "topology: %d nodes, %d links@." (Graph.n_nodes g)
-      (Graph.n_links g);
-    Format.printf "harden: k=%d, %s scenarios, max %d repair round%s@."
-      r.Repair.k mode rounds
-      (if rounds = 1 then "" else "s");
-    List.iter
-      (fun (rl : Repair.round_log) ->
-        match rl.Repair.rl_counterexample with
-        | None ->
-          Format.printf "round %d: %d nodes, %d links; sound (%d scenarios)@."
-            rl.Repair.rl_round rl.Repair.rl_abs_nodes rl.Repair.rl_abs_links
-            rl.Repair.rl_scenarios
-        | Some sc ->
-          Format.printf
-            "round %d: %d nodes, %d links; counterexample %a (%d mismatched \
-             node%s); pinned %d (total %d)@."
-            rl.Repair.rl_round rl.Repair.rl_abs_nodes rl.Repair.rl_abs_links
-            pp_sc sc
-            (List.length rl.Repair.rl_mismatches)
-            (if List.length rl.Repair.rl_mismatches = 1 then "" else "s")
-            (List.length rl.Repair.rl_new_pins)
-            rl.Repair.rl_total_pins)
-      r.Repair.rounds;
-    Format.printf "hardened: %d/%d nodes, %d/%d links (%.1fx / %.1fx)@."
-      (Graph.n_nodes g) (Abstraction.n_abstract t)
-      (Graph.n_links g)
-      (Graph.n_links t.Abstraction.abs_graph)
-      rn re;
-    Format.printf
-      "rounds: %d, counterexamples: %d, pins: %d, scenario checks: %d, \
-       cache hits: %d@."
-      (List.length r.Repair.rounds)
-      r.Repair.n_counterexamples
-      (List.length r.Repair.pins)
-      r.Repair.n_scenarios r.Repair.cache_hits;
-    (match r.Repair.fallback with
-    | Bonsai_api.No_fallback ->
-      if r.Repair.sound then
-        Format.printf "fault soundness: ok (every swept scenario agrees)@."
-      else begin
-        Format.printf "fault soundness: BROKEN (repair disabled)@.";
-        match List.rev r.Repair.rounds with
-        | { Repair.rl_counterexample = Some sc; rl_mismatches = m :: _; _ }
-          :: _ ->
-          Format.printf "  minimal failing scenario: %a@." pp_sc sc;
-          Format.printf "  first diverging pair: %s vs %s@."
-            (name m.Soundness.mis_node)
-            (Graph.name t.Abstraction.abs_graph m.Soundness.mis_abs)
-        | _ -> ()
-      end
-    | Bonsai_api.Budget_fallback info ->
-      Format.printf "@[<v>%a@]@." Bonsai_api.pp_degradation
-        { Bonsai_api.deg_info = info; deg_completed = 0; deg_total = 1 }
-    | Bonsai_api.Rounds_fallback ->
-      Format.printf
-        "DEGRADED: %d repair rounds exhausted; fell back to the identity \
-         abstraction (sound, no compression)@."
-        rounds)
-  | `Json ->
-    let round_json (rl : Repair.round_log) =
-      Printf.sprintf
-        "{\"round\":%d,\"abs_nodes\":%d,\"abs_links\":%d,\"scenarios\":%d,%s\
-         \"new_pins\":[%s],\"total_pins\":%d}"
-        rl.Repair.rl_round rl.Repair.rl_abs_nodes rl.Repair.rl_abs_links
-        rl.Repair.rl_scenarios
-        (match rl.Repair.rl_counterexample with
-        | None -> ""
-        | Some sc ->
-          Printf.sprintf "\"counterexample\":%s,\"mismatches\":%d,"
-            (scenario_json ~names:name sc)
-            (List.length rl.Repair.rl_mismatches))
-        (String.concat ","
-           (List.map (fun u -> json_string (name u)) rl.Repair.rl_new_pins))
-        rl.Repair.rl_total_pins
-    in
-    Format.printf "{@.";
-    Format.printf "  \"destination\": %s,@."
-      (json_string (Format.asprintf "%a" Prefix.pp ec.Ecs.ec_prefix));
-    Format.printf "  \"nodes\": %d, \"links\": %d,@." (Graph.n_nodes g)
-      (Graph.n_links g);
-    Format.printf "  \"k\": %d, \"mode\": %s,@." r.Repair.k
-      (json_string mode);
-    Format.printf "  \"rounds\": [%s],@."
-      (String.concat "," (List.map round_json r.Repair.rounds));
-    Format.printf "  \"pins\": [%s],@."
-      (String.concat ","
-         (List.map (fun u -> json_string (name u)) r.Repair.pins));
-    Format.printf
-      "  \"counterexamples\": %d, \"scenario_checks\": %d, \"cache_hits\": \
-       %d,@."
-      r.Repair.n_counterexamples r.Repair.n_scenarios r.Repair.cache_hits;
-    Format.printf "  \"sound\": %b, \"fallback\": %s,@." r.Repair.sound
-      (json_string
-         (match r.Repair.fallback with
-         | Bonsai_api.No_fallback -> "none"
-         | Bonsai_api.Budget_fallback _ -> "budget"
-         | Bonsai_api.Rounds_fallback -> "rounds"));
-    Format.printf
-      "  \"abstraction\": {\"nodes\": %d, \"links\": %d, \"ratio_nodes\": \
-       %.2f, \"ratio_links\": %.2f}@."
-      (Abstraction.n_abstract t)
-      (Graph.n_links t.Abstraction.abs_graph)
-      rn re;
-    Format.printf "}@.");
+  render format Op_harden.pp Op_harden.to_json h;
+  let r = h.Op_harden.r in
   let degrade_exit code = if degrade then 0 else code in
   (* certify the hardened abstraction itself — pins and repair rounds
      change the partition, so the witness must come from the result *)
@@ -1536,13 +704,8 @@ let certify_cmd_run spec cert_path audit budget_ms budget_ticks =
 let explain_cmd_run spec a_name b_name ec_prefix =
   guarded @@ fun () ->
   let net = resolve_network spec in
-  let ec = find_ec net ec_prefix in
-  let node name =
-    match Graph.find_by_name net.Device.graph name with
-    | Some v -> v
-    | None -> Format.kasprintf failwith "unknown router %S" name
-  in
-  (match Bonsai_api.explain net ec (node a_name) (node b_name) with
+  let ec = Op.find_ec net ec_prefix in
+  (match Bonsai_api.explain net ec (find_router net a_name) (find_router net b_name) with
   | [] ->
     Format.printf "%s and %s play the same role for %a@." a_name b_name
       Prefix.pp ec.Ecs.ec_prefix
@@ -1557,13 +720,8 @@ let explain_cmd_run spec a_name b_name ec_prefix =
 let policy_cmd_run spec from_name to_name ec_prefix =
   guarded @@ fun () ->
   let net = resolve_network spec in
-  let ec = find_ec net ec_prefix in
-  let node name =
-    match Graph.find_by_name net.Device.graph name with
-    | Some v -> v
-    | None -> Format.kasprintf failwith "unknown router %S" name
-  in
-  let recv = node from_name and sender = node to_name in
+  let ec = Op.find_ec net ec_prefix in
+  let recv = find_router net from_name and sender = find_router net to_name in
   let u = Policy_bdd.universe_of_network net in
   let b = Policy_bdd.edge_policy u net ~dest:ec.Ecs.ec_prefix recv sender in
   Format.printf
@@ -1599,13 +757,13 @@ let export_cmd_run spec path format =
 
 let parse_host_port s =
   match String.rindex_opt s ':' with
-  | None -> raise (Usage (Printf.sprintf "expected HOST:PORT, got %S" s))
+  | None -> raise (Op.Usage (Printf.sprintf "expected HOST:PORT, got %S" s))
   | Some i -> (
     let host = String.sub s 0 i in
     let host = if host = "" then "127.0.0.1" else host in
     match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
     | Some port -> (host, port)
-    | None -> raise (Usage (Printf.sprintf "invalid port in %S" s)))
+    | None -> raise (Op.Usage (Printf.sprintf "invalid port in %S" s)))
 
 let serve_cmd_run stdio socket tcp max_inflight budget_ms budget_ticks
     cache_cap max_networks checkpoint_path checkpoint_every drain_ms preload =
@@ -1618,12 +776,12 @@ let serve_cmd_run stdio socket tcp max_inflight budget_ms budget_ticks
       let host, port = parse_host_port hp in
       Serve_loop.Tcp (host, port)
     | false, None, None ->
-      raise (Usage "one of --stdio, --socket PATH or --tcp HOST:PORT is required")
-    | _ -> raise (Usage "--stdio, --socket and --tcp are mutually exclusive")
+      raise (Op.Usage "one of --stdio, --socket PATH or --tcp HOST:PORT is required")
+    | _ -> raise (Op.Usage "--stdio, --socket and --tcp are mutually exclusive")
   in
   (* [resolve_network]'s Usage (unknown spec) becomes a Failure so the
      engine answers it as a bad-request instead of killing the server *)
-  let resolve spec = try resolve_network spec with Usage m -> failwith m in
+  let resolve spec = try resolve_network spec with Op.Usage m -> failwith m in
   let engine =
     Serve_engine.create ~resolve ?budget_ms ?budget_ticks ?cache_cap
       ~max_networks ()
@@ -1646,7 +804,7 @@ let request_cmd_run socket tcp op network ec to_spec k rounds samples seed
       let op =
         match op with
         | Some op -> op
-        | None -> raise (Usage "an OP argument is required (or --raw)")
+        | None -> raise (Op.Usage "an OP argument is required (or --raw)")
       in
       let str key v =
         match v with None -> [] | Some s -> [ (key, Json.String s) ]
@@ -1669,10 +827,10 @@ let request_cmd_run socket tcp op network ec to_spec k rounds samples seed
       let host, port = parse_host_port hp in
       let inet =
         try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> raise (Usage (Printf.sprintf "unknown host %S" host))
+        with Not_found -> raise (Op.Usage (Printf.sprintf "unknown host %S" host))
       in
       Unix.ADDR_INET (inet, port)
-    | _ -> raise (Usage "exactly one of --socket or --tcp is required")
+    | _ -> raise (Op.Usage "exactly one of --socket or --tcp is required")
   in
   (* One request/response exchange on a fresh connection (the server is
      line-oriented but we reconnect per attempt, so a shed request never
@@ -1986,20 +1144,23 @@ let modular_cmd =
       $ budget_ms_arg $ budget_ticks_arg $ degrade_arg $ certify_flag
       $ inject)
 
+let old_arg =
+  Arg.(
+    required
+    & pos 0 (some string) None
+    & info [] ~docv:"OLD"
+        ~doc:"Old network specification (e.g. file:PATH or fattree:4).")
+
+let new_arg =
+  Arg.(
+    required
+    & pos 1 (some string) None
+    & info [] ~docv:"NEW" ~doc:"New network specification.")
+
+let seed_arg =
+  Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Sampling seed.")
+
 let diff_cmd =
-  let old_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"OLD"
-          ~doc:"Old network specification (e.g. file:PATH or fattree:4).")
-  in
-  let new_arg =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"NEW" ~doc:"New network specification.")
-  in
   Cmd.v
     (cmd_info "diff"
        ~doc:
@@ -2015,19 +1176,6 @@ let diff_cmd =
       $ certificate_arg)
 
 let dataplane_diff_cmd =
-  let old_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"OLD"
-          ~doc:"Old network specification (e.g. file:PATH or fattree:4).")
-  in
-  let new_arg =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"NEW" ~doc:"New network specification.")
-  in
   Cmd.v
     (cmd_info "dataplane-diff"
        ~doc:
@@ -2090,12 +1238,6 @@ let watch_cmd =
       $ format_arg $ budget_ms_arg $ budget_ticks_arg $ degrade_arg)
 
 let lint_cmd =
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc:"Output format (text|json).")
-  in
   let min_severity =
     Arg.(
       value
@@ -2139,7 +1281,7 @@ let lint_cmd =
           error-severity diagnostic; file:PATH networks get file:line \
           positions)")
     Term.(
-      const lint_cmd_run $ network_arg $ format $ min_severity
+      const lint_cmd_run $ network_arg $ format_arg $ min_severity
       $ no_compression $ flow $ budget_ms_arg $ budget_ticks_arg
       $ list_checks)
 
@@ -2263,17 +1405,6 @@ let faults_cmd =
             "Force sampling with N scenarios (default: exhaustive when the \
              scenario space is small, 256 samples otherwise).")
   in
-  let seed =
-    Arg.(
-      value & opt int 0
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Sampling seed.")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc:"Output format (text|json).")
-  in
   Cmd.v
     (cmd_info "faults"
        ~doc:
@@ -2283,8 +1414,8 @@ let faults_cmd =
           budget bounds the survey — scenarios it cannot afford are \
           reported as skipped, exit 3)")
     Term.(
-      const faults_cmd_run $ network_arg $ ec_arg $ k $ samples $ seed
-      $ format $ budget_ms_arg $ budget_ticks_arg)
+      const faults_cmd_run $ network_arg $ ec_arg $ k $ samples $ seed_arg
+      $ format_arg $ budget_ms_arg $ budget_ticks_arg)
 
 let harden_cmd =
   let k =
@@ -2319,17 +1450,6 @@ let harden_cmd =
             "Initial sample size past the frontier (default 64; doubles \
              every repair round).")
   in
-  let seed =
-    Arg.(
-      value & opt int 0
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Sampling seed.")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc:"Output format (text|json).")
-  in
   Cmd.v
     (cmd_info "harden"
        ~doc:
@@ -2341,7 +1461,7 @@ let harden_cmd =
           0 under $(b,--degrade)) rather than emitting an unsound result.")
     Term.(
       const harden_cmd_run $ network_arg $ ec_arg $ k $ rounds $ frontier
-      $ samples $ seed $ format $ budget_ms_arg $ budget_ticks_arg
+      $ samples $ seed_arg $ format_arg $ budget_ms_arg $ budget_ticks_arg
       $ degrade_arg $ certify_flag $ audit_arg $ certificate_arg)
 
 let certify_cmd =

@@ -7,12 +7,6 @@ let severity_to_string = function
   | Warning -> "warning"
   | Info -> "info"
 
-let severity_of_string = function
-  | "error" -> Some Error
-  | "warning" -> Some Warning
-  | "info" -> Some Info
-  | _ -> None
-
 type loc = {
   router : string option;
   neighbor : string option;
@@ -84,35 +78,3 @@ let pp ppf d =
   Format.fprintf ppf "%s: [%s] %a: %s"
     (severity_to_string d.severity)
     d.check pp_loc d.loc d.message
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_json d =
-  let buf = Buffer.create 128 in
-  let field k v = Buffer.add_string buf (Printf.sprintf ",\"%s\":%s" k v) in
-  let str_field k v = field k (Printf.sprintf "\"%s\"" (json_escape v)) in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"check\":\"%s\",\"severity\":\"%s\""
-       (json_escape d.check)
-       (severity_to_string d.severity));
-  Option.iter (str_field "router") d.loc.router;
-  Option.iter (str_field "neighbor") d.loc.neighbor;
-  Option.iter (str_field "route_map") d.loc.rm_name;
-  Option.iter (fun i -> field "clause" (string_of_int (i + 1))) d.loc.clause;
-  Option.iter (fun n -> field "line" (string_of_int n)) d.loc.line;
-  str_field "message" d.message;
-  Buffer.add_char buf '}';
-  Buffer.contents buf

@@ -38,12 +38,3 @@ let pp_text ppf ds =
     (if count Diag.Warning = 1 then "" else "s")
     (count Diag.Info)
     (if count Diag.Info = 1 then "" else "s")
-
-let pp_json ppf ds =
-  Format.fprintf ppf "[";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf "@\n  %s" (Diag.to_json d))
-    ds;
-  Format.fprintf ppf "@\n]@."

@@ -30,6 +30,3 @@ val has_errors : Diag.t list -> bool
 
 val pp_text : Format.formatter -> Diag.t list -> unit
 (** One line per diagnostic plus a summary count line. *)
-
-val pp_json : Format.formatter -> Diag.t list -> unit
-(** A JSON array of diagnostic objects (see {!Diag.to_json}). *)

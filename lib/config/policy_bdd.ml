@@ -35,7 +35,6 @@ let universe_of_params { up_comms; up_lps; up_meds } =
     width = Array.length up_comms + lp_bits + med_bits + 1;
   }
 
-let params_of_universe u = { up_comms = u.comms; up_lps = u.lps; up_meds = u.meds }
 
 let universe_params ?(keep_unmatched_comms = false) (net : Device.network) =
   let matched = ref [] and set = ref [] and lps = ref [ Bgp.default_lp ] in

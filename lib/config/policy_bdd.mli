@@ -55,8 +55,6 @@ val universe_params :
 val universe_of_params : universe_params -> universe
 (** Build a universe with a fresh manager over a fixed layout. *)
 
-val params_of_universe : universe -> universe_params
-
 val identity : universe -> Bdd.t
 (** Relation of the permit-all policy. *)
 

@@ -125,6 +125,20 @@ let role_partition ?budget (net : Device.network) (ec : Ecs.ec) =
   | Error _ as e -> e
   | Ok r -> Ok (Array.copy r.abstraction.Abstraction.group_of)
 
+(* A fresh, un-budgeted universe (the budgeted manager may be the very
+   resource that ran out) and the discrete partition. *)
+let identity_result (net : Device.network) (ec : Ecs.ec) =
+  let universe = Policy_bdd.universe_of_network net in
+  {
+    ec;
+    abstraction =
+      Abstraction.identity net ~dest:(Ecs.single_origin ec)
+        ~dest_prefix:ec.Ecs.ec_prefix ~universe;
+    refine_stats = { Refine.iterations = 0; splits = 0 };
+    time_s = 0.0;
+    degraded = true;
+  }
+
 let identity_ec ~identity_of (ec : Ecs.ec) =
   let t0 = Timing.now () in
   let abstraction =
@@ -139,7 +153,7 @@ let identity_ec ~identity_of (ec : Ecs.ec) =
     degraded = true;
   }
 
-let compress_exn ?keep_unmatched_comms ?(stride = 1) ?max_ecs ?(domains = 1)
+let compress_exn ?keep_unmatched_comms ?(stride = 1)
     ?(budget = Budget.infinite) (net : Device.network) =
   let universe0, bdd_time_s =
     Timing.time (fun () ->
@@ -150,88 +164,50 @@ let compress_exn ?keep_unmatched_comms ?(stride = 1) ?max_ecs ?(domains = 1)
     if stride <= 1 then ecs
     else List.filteri (fun i _ -> i mod stride = 0) ecs
   in
-  let ecs =
-    match max_ecs with
-    | None -> ecs
-    | Some k -> List.filteri (fun i _ -> i < k) ecs
-  in
   let singles, anycast = List.partition (fun ec -> match ec.Ecs.ec_origins with [ _ ] -> true | _ -> false) ecs in
   let skipped_anycast = List.length anycast in
-  let run_chunk chunk =
-    (* BDD managers are not shared across domains: each worker builds its
-       own universe (cheap — it only scans the configurations). *)
-    let universe = Policy_bdd.universe_of_network ?keep_unmatched_comms net in
-    List.map (fun ec -> compress_ec_exn ~universe net ec) chunk
+  let total = List.length singles in
+  (* Identity fallbacks use a fresh, un-budgeted universe — the
+     budgeted manager may be the very thing that ran out — and share
+     one skeleton across all degraded classes. *)
+  let identity_of =
+    lazy
+      (Abstraction.identity_family net
+         ~universe:(Policy_bdd.universe_of_network ?keep_unmatched_comms net))
   in
-  if Budget.is_infinite budget then begin
-    let results =
-      if domains <= 1 then run_chunk singles
-      else begin
-        let chunks = Array.make domains [] in
-        List.iteri
-          (fun i ec -> chunks.(i mod domains) <- ec :: chunks.(i mod domains))
-          singles;
-        let workers =
-          Array.map
-            (fun chunk ->
-              let chunk = List.rev chunk in
-              Domain.spawn (fun () -> run_chunk chunk))
-            chunks
-        in
-        Array.to_list workers |> List.concat_map Domain.join
-        |> List.sort (fun a b -> Prefix.compare a.ec.Ecs.ec_prefix b.ec.Ecs.ec_prefix)
-      end
-    in
-    { net; bdd_time_s; results; skipped_anycast; degradation = None }
-  end
-  else begin
-    (* Budgeted runs are sequential: degradation needs a well-defined
-       "first class that ran out", and the budget is a single mutable
-       token not meant to be shared across domains. *)
-    let total = List.length singles in
-    (* Identity fallbacks use a fresh, un-budgeted universe — the
-       budgeted manager may be the very thing that ran out — and share
-       one skeleton across all degraded classes. *)
-    let identity_of =
-      lazy
-        (Abstraction.identity_family net
-           ~universe:(Policy_bdd.universe_of_network ?keep_unmatched_comms net))
-    in
-    let acc = ref [] in
-    let degradation = ref None in
-    let rec go = function
-      | [] -> ()
-      | ec :: rest -> (
-        match compress_ec_exn ~universe:universe0 ~budget net ec with
-        | r ->
-          acc := r :: !acc;
-          go rest
-        | exception Budget.Exhausted info ->
-          degradation :=
-            Some
-              {
-                deg_info = info;
-                deg_completed = List.length !acc;
-                deg_total = total;
-              };
-          List.iter
-            (fun ec -> acc := identity_ec ~identity_of ec :: !acc)
-            (ec :: rest))
-    in
-    go singles;
-    {
-      net;
-      bdd_time_s;
-      results = List.rev !acc;
-      skipped_anycast;
-      degradation = !degradation;
-    }
-  end
+  let acc = ref [] in
+  let degradation = ref None in
+  let rec go = function
+    | [] -> ()
+    | ec :: rest -> (
+      match compress_ec_exn ~universe:universe0 ~budget net ec with
+      | r ->
+        acc := r :: !acc;
+        go rest
+      | exception Budget.Exhausted info ->
+        degradation :=
+          Some
+            {
+              deg_info = info;
+              deg_completed = List.length !acc;
+              deg_total = total;
+            };
+        List.iter
+          (fun ec -> acc := identity_ec ~identity_of ec :: !acc)
+          (ec :: rest))
+  in
+  go singles;
+  {
+    net;
+    bdd_time_s;
+    results = List.rev !acc;
+    skipped_anycast;
+    degradation = !degradation;
+  }
 
-let compress ?keep_unmatched_comms ?stride ?max_ecs ?domains ?budget net =
+let compress ?keep_unmatched_comms ?stride ?budget net =
   Bonsai_error.protect (fun () ->
-      compress_exn ?keep_unmatched_comms ?stride ?max_ecs ?domains ?budget
-        net)
+      compress_exn ?keep_unmatched_comms ?stride ?budget net)
 
 (* --- fault-sound compression (CEGAR repair, lib/repair) -------------- *)
 

@@ -78,6 +78,11 @@ val compress_ec_exn :
     [Incr.recompress]) — it cannot be defined here because lib/incr
     depends on this library. *)
 
+val identity_result : Device.network -> Ecs.ec -> ec_result
+(** The always-sound fallback for one class: the identity abstraction
+    (every router its own role) in a fresh, un-budgeted universe, marked
+    [degraded]. *)
+
 val role_partition :
   ?budget:Budget.t ->
   Device.network ->
@@ -92,33 +97,24 @@ val role_partition :
 val compress :
   ?keep_unmatched_comms:bool ->
   ?stride:int ->
-  ?max_ecs:int ->
-  ?domains:int ->
   ?budget:Budget.t ->
   Device.network ->
   (summary, Bonsai_error.t) result
-(** Compress every destination class. For sampling large networks,
-    [stride] keeps every k-th class and [max_ecs] caps how many are
-    processed. [keep_unmatched_comms] selects the naive attribute
-    abstraction (see {!Policy_bdd.universe_of_network}). [domains] > 1
-    processes classes in parallel on that many OCaml domains (destination
-    classes are disjoint, exactly the parallelism the paper exploits, §7);
-    each domain owns a private BDD manager.
+(** Compress every destination class, sharing one policy-BDD universe.
+    For sampling large networks, [stride] keeps every k-th class.
+    [keep_unmatched_comms] selects the naive attribute abstraction (see
+    {!Policy_bdd.universe_of_network}).
 
-    With a finite [budget], classes are processed {e sequentially}
-    (ignoring [domains], which would share the single budget token) and
-    exhaustion degrades gracefully instead of failing: the class that ran
-    out and every remaining class fall back to the identity abstraction
-    (marked [degraded]; always sound — the abstract network is the
-    concrete network, just without any compression benefit), and
-    [summary.degradation] records where the budget went. [Error] is
-    reserved for non-budget failures. *)
+    With a finite [budget], exhaustion degrades gracefully instead of
+    failing: the class that ran out and every remaining class fall back
+    to the identity abstraction (marked [degraded]; always sound — the
+    abstract network is the concrete network, just without any
+    compression benefit), and [summary.degradation] records where the
+    budget went. [Error] is reserved for non-budget failures. *)
 
 val compress_exn :
   ?keep_unmatched_comms:bool ->
   ?stride:int ->
-  ?max_ecs:int ->
-  ?domains:int ->
   ?budget:Budget.t ->
   Device.network ->
   summary

@@ -8,7 +8,6 @@ let mode_of_string = function
   | "auto" -> Some Auto
   | _ -> None
 
-let mode_to_string = function Annot -> "annot" | Auto -> "auto"
 
 (* ------------------------------------------------------------------ *)
 (* Partitioning *)
@@ -115,12 +114,14 @@ type report = {
   rp_time_s : float;
 }
 
-let any_fault rp =
-  List.exists
+let faulted rp =
+  List.filter
     (fun mr -> match mr.mr_health with
       | Degraded | Refuted -> true
       | Healthy | Retried -> false)
     rp.rp_modules
+
+let any_fault rp = faulted rp <> []
 
 (* ------------------------------------------------------------------ *)
 (* Subnet construction: a module's members plus one pinned stub per
@@ -476,7 +477,6 @@ let report st =
   }
 
 let network st = st.st_net
-let module_names st = List.map (fun ms -> ms.ms_name) st.st_modules
 
 let module_summary st name =
   Option.bind
@@ -802,43 +802,9 @@ let pp_report ppf rp =
         | Some d -> Printf.sprintf " (%s)" d
         | None -> ""))
     rp.rp_modules;
-  let faulted =
-    List.length
-      (List.filter
-         (fun mr ->
-           match mr.mr_health with
-           | Degraded | Refuted -> true
-           | Healthy | Retried -> false)
-         rp.rp_modules)
-  in
   Format.fprintf ppf "total: %d module(s), %d router(s), %d faulted@."
     (List.length rp.rp_modules)
-    rp.rp_routers faulted;
+    rp.rp_routers
+    (List.length (faulted rp));
   if rp.rp_skipped_anycast > 0 then
     Format.fprintf ppf "skipped %d anycast class(es)@." rp.rp_skipped_anycast
-
-let report_json_fields rp =
-  let module_json mr =
-    Json.Obj
-      ([
-         ("module", Json.String mr.mr_name);
-         ("routers", Json.Int mr.mr_routers);
-         ("ecs", Json.Int mr.mr_ecs);
-         ("concrete", Json.Int mr.mr_concrete);
-         ("abstract", Json.Int mr.mr_abstract);
-         ("health", Json.String (health_name mr.mr_health));
-         ("time_s", Json.Float mr.mr_time_s);
-       ]
-      @
-      match mr.mr_detail with
-      | Some d -> [ ("detail", Json.String d) ]
-      | None -> [])
-  in
-  [
-    ("modules", Json.List (List.map module_json rp.rp_modules));
-    ("routers", Json.Int rp.rp_routers);
-    ("skipped_anycast", Json.Int rp.rp_skipped_anycast);
-    ("time_s", Json.Float rp.rp_time_s);
-    ( "faulted",
-      Json.Bool (any_fault rp) );
-  ]

@@ -35,7 +35,6 @@
 type mode = Annot | Auto
 
 val mode_of_string : string -> mode option
-val mode_to_string : mode -> string
 
 val partition :
   ?count:int ->
@@ -73,8 +72,11 @@ type report = {
   rp_time_s : float;
 }
 
+val faulted : report -> module_report list
+(** The modules that degraded or were refuted. *)
+
 val any_fault : report -> bool
-(** Some module is degraded or refuted (the CLI's degrade-gate input). *)
+(** [faulted] is non-empty (the CLI's degrade-gate input). *)
 
 type state
 (** A composed run kept warm: the global network, the partition, and one
@@ -118,9 +120,6 @@ val run_stream :
 
 val report : state -> report
 val network : state -> Device.network
-
-val module_names : state -> string list
-(** Sorted; the health-table order. *)
 
 val module_summary : state -> string -> Bonsai_api.summary option
 (** The named module's warm per-class results over its subnet (boundary
@@ -168,8 +167,3 @@ val compose :
 
 val pp_report : Format.formatter -> report -> unit
 (** The health table, deterministic byte-for-byte (no wall-clock). *)
-
-val report_json_fields : report -> (string * Json.t) list
-(** JSON response fields for the CLI and the resident engine; includes
-    per-module times (callers needing byte-stable output normalize or
-    drop them). *)

@@ -17,19 +17,11 @@
    would poison every later answer for that network with permanently
    degraded results. Only fully-compressed states enter the registry. *)
 
-type entry = {
-  en_spec : string;
-  en_state : Incr.state;
-  mutable en_stamp : int;  (* LRU clock for the network registry *)
-}
-
-(* Warm modular runs, in a registry of their own: a modular state is a
-   set of per-module engines, quarantined module-by-module rather than
-   evicted wholesale. *)
-type mentry = {
-  men_spec : string;
-  men_state : Modular.state;
-  mutable men_stamp : int;
+(* One warm registry entry: a network's state and its LRU stamp. *)
+type 'a slot = {
+  spec : string;
+  state : 'a;
+  mutable stamp : int;  (* LRU clock for the registry *)
 }
 
 type t = {
@@ -38,8 +30,11 @@ type t = {
   cap_max_ticks : int option;
   cache_cap : int option;
   max_networks : int;
-  registry : (string, entry) Hashtbl.t;
-  modular_registry : (string, mentry) Hashtbl.t;
+  registry : (string, Incr.state slot) Hashtbl.t;
+  modular_registry : (string, Modular.state slot) Hashtbl.t;
+      (* warm modular runs, in a registry of their own: a modular state
+         is a set of per-module engines, quarantined module-by-module
+         rather than evicted wholesale *)
   mutable clock : int;
   mutable n_requests : int;
   mutable n_ok : int;
@@ -92,30 +87,34 @@ let requests t = t.n_requests
 
 (* --- registry --------------------------------------------------------- *)
 
-let touch t en =
+let touch t slot =
   t.clock <- t.clock + 1;
-  en.en_stamp <- t.clock
+  slot.stamp <- t.clock
 
-let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun _ en acc ->
-        match acc with
-        | Some best when best.en_stamp <= en.en_stamp -> acc
-        | _ -> Some en)
-      t.registry None
-  in
-  match victim with
-  | None -> ()
-  | Some en ->
-    Hashtbl.remove t.registry en.en_spec;
-    t.n_net_evictions <- t.n_net_evictions + 1
+(* Insert into a registry bounded by [max_networks], evicting its least
+   recently used entry first when it is full. *)
+let insert t tbl spec state =
+  if Hashtbl.length tbl >= t.max_networks then begin
+    let victim =
+      Hashtbl.fold
+        (fun _ slot acc ->
+          match acc with
+          | Some best when best.stamp <= slot.stamp -> acc
+          | _ -> Some slot)
+        tbl None
+    in
+    Option.iter
+      (fun slot ->
+        Hashtbl.remove tbl slot.spec;
+        t.n_net_evictions <- t.n_net_evictions + 1)
+      victim
+  end;
+  let slot = { spec; state; stamp = 0 } in
+  touch t slot;
+  Hashtbl.replace tbl spec slot
 
 let admit t spec st =
-  if Hashtbl.length t.registry >= t.max_networks then evict_lru t;
-  let en = { en_spec = spec; en_state = st; en_stamp = 0 } in
-  touch t en;
-  Hashtbl.replace t.registry spec en;
+  insert t t.registry spec st;
   t.audit_dirty <- true
 
 type warmth = Warm | Cold_cached | Cold_transient
@@ -125,9 +124,9 @@ type warmth = Warm | Cold_cached | Cold_transient
    requester, never the server. *)
 let get_state t ~budget spec =
   match Hashtbl.find_opt t.registry spec with
-  | Some en ->
-    touch t en;
-    (en.en_state, Warm)
+  | Some slot ->
+    touch t slot;
+    (slot.state, Warm)
   | None -> (
     let net = t.resolve spec in
     match Incr.init ?cache_cap:t.cache_cap ~budget net with
@@ -139,6 +138,14 @@ let get_state t ~budget spec =
         admit t spec st;
         (st, Cold_cached)
       end)
+
+(* The network a read-only op runs on: the warm one, else resolved. *)
+let get_network t spec =
+  match Hashtbl.find_opt t.registry spec with
+  | Some slot ->
+    touch t slot;
+    Incr.network slot.state
+  | None -> t.resolve spec
 
 (* --- parameter helpers ------------------------------------------------ *)
 
@@ -152,182 +159,90 @@ let request_budget t req =
     ?cap_deadline_s:t.cap_deadline_s ?cap_max_ticks:t.cap_max_ticks ()
 
 let network_param req = Protocol.require_string req "network"
+let flag req key ~default = Option.value ~default (Protocol.bool_param req key)
 
-let find_ec net = function
-  | None -> (
-    match Ecs.compute net with
-    | ec :: _ -> ec
-    | [] -> failwith "network originates no destination prefixes")
-  | Some p -> (
-    let p = Prefix.of_string p in
-    match
-      List.find_opt
-        (fun ec -> Prefix.equal ec.Ecs.ec_prefix p)
-        (Ecs.compute net)
-    with
-    | Some ec -> ec
-    | None -> Format.kasprintf failwith "no destination class %a" Prefix.pp p)
+(* Mirror of the one-shot CLI's --degrade contract ([Op.gate]): a
+   degraded result is a typed budget-exceeded response unless the
+   request opted into degradation with "degrade": true — then it is an
+   ok response whose "degraded" fields say what fell back to identity. *)
+let check_degradation req deg =
+  Op.ok_exn (Op.gate ~degrade:(flag req "degrade" ~default:false) deg)
 
-let prefix_str p = Format.asprintf "%a" Prefix.pp p
-
-(* Mirror of the one-shot CLI's --degrade contract: a degraded result is
-   a typed budget-exceeded response unless the request opted into
-   degradation with "degrade": true — then it is an ok response whose
-   "degraded" fields say what fell back to identity. *)
-let wants_degrade req =
-  Option.value ~default:false (Protocol.bool_param req "degrade")
-
-let check_degradation req = function
-  | Some (d : Bonsai_api.degradation) when not (wants_degrade req) ->
-    Bonsai_error.error (Bonsai_error.Budget_exceeded d.Bonsai_api.deg_info)
-  | _ -> ()
+let audit_level req key =
+  Option.map
+    (fun s ->
+      match Certify.audit_of_string s with
+      | Some a -> a
+      | None -> Format.kasprintf failwith "bad %s level %S" key s)
+    (Protocol.string_param req key)
 
 (* --- ops -------------------------------------------------------------- *)
 
-(* Deterministic by design: responses carry structure (class sizes,
-   counts, verdicts) but never wall-clock or cache counters — the
-   kill-and-restart acceptance test diffs a warm-restored compress
-   response byte-for-byte against a cold one. Timings live in `stats`. *)
+(* The shared ops run through lib/ops: request parameters become the
+   op's params, its [run] answers, its [to_json] is the response body —
+   the very document `bonsai OP --format json` prints. Deterministic by
+   design: no wall-clock or cache counters (the kill-and-restart
+   acceptance test diffs a warm-restored compress response byte-for-byte
+   against a cold one); timings live in `stats`. *)
 
-let ec_row (r : Bonsai_api.ec_result) =
-  Json.Obj
-    [
-      ("destination", Json.String (prefix_str r.Bonsai_api.ec.Ecs.ec_prefix));
-      ( "abstract_nodes",
-        Json.Int (Abstraction.n_abstract r.Bonsai_api.abstraction) );
-      ( "abstract_links",
-        Json.Int
-          (Graph.n_links r.Bonsai_api.abstraction.Abstraction.abs_graph) );
-      ("degraded", Json.Bool r.Bonsai_api.degraded);
-    ]
+(* the response fields of an op's document (every op renders an object) *)
+let fields = function Json.Obj fs -> fs | j -> [ ("result", j) ]
 
 let compress_op t req =
   let budget = request_budget t req in
-  let st, _ = get_state t ~budget (network_param req) in
+  let spec = network_param req in
+  let st, _ = get_state t ~budget spec in
   let summary = Incr.summary st in
   check_degradation req summary.Bonsai_api.degradation;
-  let results =
-    match Protocol.string_param req "ec" with
-    | None -> summary.Bonsai_api.results
-    | Some p -> (
-      let p = Prefix.of_string p in
-      match
-        List.filter
-          (fun (r : Bonsai_api.ec_result) ->
-            Prefix.equal r.Bonsai_api.ec.Ecs.ec_prefix p)
-          summary.Bonsai_api.results
-      with
-      | [] -> Format.kasprintf failwith "no destination class %a" Prefix.pp p
-      | rs -> rs)
-  in
-  [
-    ("network", Json.String (network_param req));
-    ("ecs", Json.Int (List.length results));
-    ("skipped_anycast", Json.Int summary.Bonsai_api.skipped_anycast);
-    ( "degraded",
-      Json.Bool (Option.is_some summary.Bonsai_api.degradation) );
-    ("classes", Json.List (List.map ec_row results));
-  ]
-
-let diag_json (d : Diag.t) =
-  let opt_str k = function
-    | None -> []
-    | Some s -> [ (k, Json.String s) ]
-  in
-  let opt_int k = function None -> [] | Some i -> [ (k, Json.Int i) ] in
-  Json.Obj
-    (("check", Json.String d.Diag.check)
-    :: ("severity", Json.String (Diag.severity_to_string d.Diag.severity))
-    :: (opt_str "router" d.Diag.loc.Diag.router
-       @ opt_str "neighbor" d.Diag.loc.Diag.neighbor
-       @ opt_str "route_map" d.Diag.loc.Diag.rm_name
-       @ opt_int "clause" d.Diag.loc.Diag.clause
-       @ opt_int "line" d.Diag.loc.Diag.line
-       @ [ ("message", Json.String d.Diag.message) ]))
+  let ec = Protocol.string_param req "ec" in
+  Op_compress.to_json
+    (Op.ok_exn
+       (Op_compress.run ~budget ~warm:summary (Incr.network st)
+          {
+            Op_compress.network = spec;
+            ec;
+            all = ec = None;
+            check = false;
+            dot = None;
+          }))
 
 let lint_op t req =
   let budget = request_budget t req in
   let spec = network_param req in
-  let net =
-    match Hashtbl.find_opt t.registry spec with
-    | Some en ->
-      touch t en;
-      Incr.network en.en_state
-    | None -> t.resolve spec
-  in
-  let compression =
-    Option.value ~default:true (Protocol.bool_param req "compression")
-  in
-  let flow = Option.value ~default:false (Protocol.bool_param req "flow") in
-  let ds = Lint.run ~compression ~flow ~budget net in
-  [
-    ("network", Json.String spec);
-    ("findings", Json.List (List.map diag_json ds));
-    ("count", Json.Int (List.length ds));
-    ("errors", Json.Bool (Lint.has_errors ds));
-  ]
+  Op_lint.to_json
+    (Op.ok_exn
+       (Op_lint.run ~budget (get_network t spec)
+          {
+            Op_lint.network = spec;
+            compression = flag req "compression" ~default:true;
+            flow = flag req "flow" ~default:false;
+            min_severity = Diag.Info;
+          }))
 
 let flow_op t req =
   let budget = request_budget t req in
   let spec = network_param req in
-  let net =
-    match Hashtbl.find_opt t.registry spec with
-    | Some en ->
-      touch t en;
-      Incr.network en.en_state
-    | None -> t.resolve spec
-  in
-  let ds = List.sort Diag.compare (Lint_flow.run ~budget net) in
-  let degraded =
-    List.exists (fun d -> String.equal d.Diag.check "flow-degraded") ds
-  in
-  [
-    ("network", Json.String spec);
-    ("findings", Json.List (List.map diag_json ds));
-    ("count", Json.Int (List.length ds));
-    ("degraded", Json.Bool degraded);
-  ]
+  Op_flow.to_json
+    (Op.ok_exn
+       (Op_flow.run ~budget (get_network t spec)
+          { Op_flow.network = spec; ec = None; facts = false }))
 
 let diff_op t req =
   let budget = request_budget t req in
   let spec = network_param req in
-  let to_spec = Protocol.require_string req "to" in
+  let to_ = Protocol.require_string req "to" in
   let st, _ = get_state t ~budget spec in
-  let net' = t.resolve to_spec in
-  let recertify =
-    match Protocol.string_param req "recertify" with
-    | None -> None
-    | Some s -> (
-      match Certify.audit_of_string s with
-      | Some a -> Some a
-      | None -> Format.kasprintf failwith "bad recertify level %S" s)
+  let new_net = t.resolve to_ in
+  let recertify = audit_level req "recertify" in
+  let r =
+    Op.ok_exn
+      (Op_diff.run ~budget ~state:st ~new_net (Incr.network st)
+         { Op_diff.network = spec; to_; recertify })
   in
-  match Incr.recompress_net ~budget ?recertify st net' with
-  | Error e -> Bonsai_error.error e
-  | Ok (deltas, rep) ->
-    check_degradation req rep.Incr.r_degradation;
-    (* the warm state just changed; the idle self-audit should revisit *)
-    t.audit_dirty <- true;
-    [
-      ("network", Json.String spec);
-      ("to", Json.String to_spec);
-      ("deltas", Json.Int (List.length deltas));
-      ("ecs", Json.Int rep.Incr.r_ecs);
-      ("reused", Json.Int rep.Incr.r_reused);
-      ("seeded", Json.Int rep.Incr.r_seeded);
-      ("scratch", Json.Int rep.Incr.r_scratch);
-      ("full_rebuild", Json.Bool rep.Incr.r_full_rebuild);
-      ( "degraded",
-        Json.Bool (Option.is_some rep.Incr.r_degradation) );
-    ]
-    @
-    match recertify with
-    | None -> []
-    | Some _ ->
-      [
-        ("recertified", Json.Int rep.Incr.r_recertified);
-        ("recert_refuted", Json.Int rep.Incr.r_recert_refuted);
-      ]
+  check_degradation req (Op_diff.degradation r);
+  (* the warm state just changed; the idle self-audit should revisit *)
+  t.audit_dirty <- true;
+  Op_diff.to_json r
 
 (* Pre-deployment change review at warm-cache latency: diff the data
    planes of the warm network and a proposed one. Read-only with respect
@@ -338,154 +253,51 @@ let diff_op t req =
 let dataplane_diff_op t req =
   let budget = request_budget t req in
   let spec = network_param req in
-  let to_spec = Protocol.require_string req "to" in
+  let to_ = Protocol.require_string req "to" in
   let st, _ = get_state t ~budget spec in
-  let old_net = Incr.network st in
-  let new_net = t.resolve to_spec in
-  let deltas = Delta.diff old_net new_net in
-  match
-    Dp_diff.run ~budget ~cache:(Incr.sig_cache st) ~old_net ~new_net deltas
-  with
-  | Error e -> Bonsai_error.error e
-  | Ok rep ->
-    check_degradation req rep.Dp_diff.dp_degradation;
-    let added, removed, modified = Dp_diff.counts rep in
-    let name net u = Graph.name net.Device.graph u in
-    let entry_json net = function
-      | None -> Json.Null
-      | Some (e : Dataplane.entry) ->
-        Json.Obj
-          [
-            ( "next_hops",
-              Json.List
-                (List.map
-                   (fun u -> Json.String (name net u))
-                   e.Dataplane.e_next_hops) );
-            ( "acl_dropped",
-              Json.List
-                (List.map
-                   (fun u -> Json.String (name net u))
-                   e.Dataplane.e_acl_dropped) );
-          ]
-    in
-    let change_row (c : Dp_diff.change) =
-      let router_net =
-        match c.Dp_diff.c_kind with
-        | Dp_diff.Removed -> old_net
-        | _ -> new_net
-      in
-      Json.Obj
-        [
-          ("router", Json.String (name router_net c.Dp_diff.c_router));
-          ("prefix", Json.String (prefix_str c.Dp_diff.c_prefix));
-          ("kind", Json.String (Dp_diff.kind_string c.Dp_diff.c_kind));
-          ("old", entry_json old_net c.Dp_diff.c_old);
-          ("new", entry_json new_net c.Dp_diff.c_new);
-        ]
-    in
-    [
-      ("network", Json.String spec);
-      ("to", Json.String to_spec);
-      ("deltas", Json.Int (List.length deltas));
-      ("changed", Json.Bool (Dp_diff.changed rep));
-      ("classes", Json.Int rep.Dp_diff.dp_classes);
-      ("reused", Json.Int rep.Dp_diff.dp_reused);
-      ("recompiled", Json.Int rep.Dp_diff.dp_recompiled);
-      ("full_rebuild", Json.Bool rep.Dp_diff.dp_full_rebuild);
-      ("added", Json.Int added);
-      ("removed", Json.Int removed);
-      ("modified", Json.Int modified);
-      ("changes", Json.List (List.map change_row rep.Dp_diff.dp_changes));
-      ( "unknown",
-        Json.List
-          (List.map
-             (fun p -> Json.String (prefix_str p))
-             rep.Dp_diff.dp_unknown) );
-      ( "degraded",
-        Json.Bool (Option.is_some rep.Dp_diff.dp_degradation) );
-    ]
+  let r =
+    Op.ok_exn
+      (Op_dataplane_diff.run ~budget ~cache:(Incr.sig_cache st)
+         ~new_net:(t.resolve to_) (Incr.network st)
+         { Op_dataplane_diff.network = spec; to_ })
+  in
+  check_degradation req r.Op_dataplane_diff.rep.Dp_diff.dp_degradation;
+  Op_dataplane_diff.to_json r
 
+(* the abstraction checked is the warm one the registry already holds *)
 let faults_op t req =
   let budget = request_budget t req in
   let spec = network_param req in
   let st, _ = get_state t ~budget spec in
-  let net = Incr.network st in
-  let ec = find_ec net (Protocol.string_param req "ec") in
-  let k = Option.value ~default:1 (Protocol.int_param req "k") in
-  let samples = Protocol.int_param req "samples" in
-  let seed = Option.value ~default:0 (Protocol.int_param req "seed") in
-  let dest = Ecs.single_origin ec in
-  let srp = Compile.bgp_srp net ~dest ~dest_prefix:ec.Ecs.ec_prefix in
-  let plan = Fault_engine.plan ?samples ~seed ~k net.Device.graph in
-  let cache = Fault_engine.cache () in
-  let report = Fault_engine.survey ~budget ~cache srp plan in
-  (* the abstraction is the warm one the registry already holds *)
-  let r =
-    match
-      List.find_opt
-        (fun (r : Bonsai_api.ec_result) ->
-          Prefix.equal r.Bonsai_api.ec.Ecs.ec_prefix ec.Ecs.ec_prefix)
-        (Incr.summary st).Bonsai_api.results
-    with
-    | Some r -> r
-    | None -> Format.kasprintf failwith "no result for class %a" Ecs.pp ec
-  in
-  let abstraction = r.Bonsai_api.abstraction in
-  let break_ =
-    Soundness.first_break abstraction ~concrete:srp ~concrete_cache:cache
-      ~abstract_:(Abstraction.bgp_srp abstraction)
-      plan.Fault_engine.scenarios
-  in
-  [
-    ("network", Json.String spec);
-    ("destination", Json.String (prefix_str ec.Ecs.ec_prefix));
-    ("scenarios", Json.Int (List.length plan.Fault_engine.scenarios));
-    ("exhaustive", Json.Bool plan.Fault_engine.exhaustive);
-    ("stable", Json.Int report.Fault_engine.n_stable);
-    ("disconnected", Json.Int report.Fault_engine.n_disconnected);
-    ("diverged", Json.Int report.Fault_engine.n_diverged);
-    ("skipped", Json.Int report.Fault_engine.n_skipped);
-    ("sound", Json.Bool (Option.is_none break_));
-    ( "break_scenario",
-      match break_ with
-      | None -> Json.Null
-      | Some (sc, _) ->
-        Json.String
-          (Format.asprintf "%a" (Scenario.pp ~names:(Graph.name net.Device.graph)) sc) );
-  ]
+  let int key default = Option.value ~default (Protocol.int_param req key) in
+  Op_faults.to_json
+    (Op.ok_exn
+       (Op_faults.run ~budget ~warm:(Incr.summary st) (Incr.network st)
+          {
+            Op_faults.network = spec;
+            ec = Protocol.string_param req "ec";
+            k = int "k" 1;
+            samples = Protocol.int_param req "samples";
+            seed = int "seed" 0;
+          }))
 
 let harden_op t req =
   let budget = request_budget t req in
   let spec = network_param req in
   let st, _ = get_state t ~budget spec in
-  let net = Incr.network st in
-  let ec = find_ec net (Protocol.string_param req "ec") in
-  let k = Protocol.int_param req "k" in
-  let rounds = Protocol.int_param req "rounds" in
-  let samples = Protocol.int_param req "samples" in
-  let seed = Protocol.int_param req "seed" in
-  match Repair.harden ?k ?rounds ?samples ?seed ~budget net ec with
-  | Error e -> Bonsai_error.error e
-  | Ok r ->
-    let abstraction = r.Repair.result.Bonsai_api.abstraction in
-    [
-      ("network", Json.String spec);
-      ("destination", Json.String (prefix_str ec.Ecs.ec_prefix));
-      ("rounds", Json.Int (List.length r.Repair.rounds));
-      ("pins", Json.Int (List.length r.Repair.pins));
-      ("scenarios", Json.Int r.Repair.n_scenarios);
-      ("counterexamples", Json.Int r.Repair.n_counterexamples);
-      ("sound", Json.Bool r.Repair.sound);
-      ( "fallback",
-        Json.String
-          (match r.Repair.fallback with
-          | Bonsai_api.No_fallback -> "none"
-          | Bonsai_api.Budget_fallback _ -> "budget"
-          | Bonsai_api.Rounds_fallback -> "rounds") );
-      ("abstract_nodes", Json.Int (Abstraction.n_abstract abstraction));
-      ( "abstract_links",
-        Json.Int (Graph.n_links abstraction.Abstraction.abs_graph) );
-    ]
+  let d = Op_harden.defaults spec in
+  let int key default = Option.value ~default (Protocol.int_param req key) in
+  Op_harden.to_json
+    (Op.ok_exn
+       (Op_harden.run ~budget (Incr.network st)
+          {
+            d with
+            ec = Protocol.string_param req "ec";
+            k = int "k" d.k;
+            rounds = int "rounds" d.rounds;
+            samples = Protocol.int_param req "samples";
+            seed = int "seed" d.seed;
+          }))
 
 (* --- self-audit -------------------------------------------------------- *)
 
@@ -495,10 +307,10 @@ let harden_op t req =
    from the registry's own [Incr.state] and check it independently in a
    fresh BDD universe ([Certify.check_result] — the emission itself is
    exception-proof, a state too broken to export a witness is refuted). *)
-let audit_entry ~budget ~audit (en : entry) =
+let audit_entry ~budget ~audit (en : Incr.state slot) =
   try
-    let net = Incr.network en.en_state in
-    let summary = Incr.summary en.en_state in
+    let net = Incr.network en.state in
+    let summary = Incr.summary en.state in
     let universe = Policy_bdd.universe_of_network net in
     let rec go obligations = function
       | [] ->
@@ -572,14 +384,7 @@ let audit_step ?(budget = Budget.infinite) t =
 
 let audit_op t req =
   let budget = request_budget t req in
-  let audit =
-    match Protocol.string_param req "audit" with
-    | None -> Certify.Sample
-    | Some s -> (
-      match Certify.audit_of_string s with
-      | Some a -> a
-      | None -> Format.kasprintf failwith "bad audit level %S" s)
-  in
+  let audit = Option.value ~default:Certify.Sample (audit_level req "audit") in
   let specs =
     match Protocol.string_param req "network" with
     | Some spec -> if Hashtbl.mem t.registry spec then [ spec ] else []
@@ -631,73 +436,6 @@ let audit_op t req =
 
 (* --- modular ---------------------------------------------------------- *)
 
-let mtouch t men =
-  t.clock <- t.clock + 1;
-  men.men_stamp <- t.clock
-
-let modular_health_rows (rp : Modular.report) =
-  (* No wall-clock: the chaos suite diffs these rows byte-for-byte. *)
-  List.map
-    (fun (mr : Modular.module_report) ->
-      Json.Obj
-        ([
-           ("module", Json.String mr.Modular.mr_name);
-           ("routers", Json.Int mr.Modular.mr_routers);
-           ("ecs", Json.Int mr.Modular.mr_ecs);
-           ("concrete", Json.Int mr.Modular.mr_concrete);
-           ("abstract", Json.Int mr.Modular.mr_abstract);
-           ("health", Json.String (Modular.health_name mr.Modular.mr_health));
-         ]
-        @
-        match mr.Modular.mr_detail with
-        | Some d -> [ ("detail", Json.String d) ]
-        | None -> []))
-    rp.Modular.rp_modules
-
-let get_modular t ~budget ~mode ~count ~certify spec =
-  match Hashtbl.find_opt t.modular_registry spec with
-  | Some men ->
-    mtouch t men;
-    (men.men_state, true)
-  | None -> (
-    let net = t.resolve spec in
-    match Modular.run ~mode ?count ~budget ~certify net with
-    | Error e -> Bonsai_error.error e
-    | Ok st ->
-      (* Same warm-state policy as compress: a run where *every* module
-         faulted (e.g. an absurd request budget) is answered from but
-         never cached; partial health is the normal warm shape. *)
-      let rp = Modular.report st in
-      let all_faulted =
-        List.for_all
-          (fun (mr : Modular.module_report) ->
-            match mr.Modular.mr_health with
-            | Modular.Degraded | Modular.Refuted -> true
-            | Modular.Healthy | Modular.Retried -> false)
-          rp.Modular.rp_modules
-      in
-      if not all_faulted then begin
-        if Hashtbl.length t.modular_registry >= t.max_networks then begin
-          let victim =
-            Hashtbl.fold
-              (fun _ men acc ->
-                match acc with
-                | Some best when best.men_stamp <= men.men_stamp -> acc
-                | _ -> Some men)
-              t.modular_registry None
-          in
-          match victim with
-          | None -> ()
-          | Some men ->
-            Hashtbl.remove t.modular_registry men.men_spec;
-            t.n_net_evictions <- t.n_net_evictions + 1
-        end;
-        let men = { men_spec = spec; men_state = st; men_stamp = 0 } in
-        mtouch t men;
-        Hashtbl.replace t.modular_registry spec men
-      end;
-      (st, false))
-
 let modular_op t req =
   let budget = request_budget t req in
   let spec = network_param req in
@@ -709,39 +447,48 @@ let modular_op t req =
       | Some m -> m
       | None -> Format.kasprintf failwith "bad modules mode %S" s)
   in
-  let count = Protocol.int_param req "count" in
-  let certify =
-    Option.value ~default:false (Protocol.bool_param req "certify")
+  let params =
+    {
+      Op_modular.network = spec;
+      mode;
+      count = Protocol.int_param req "count";
+      certify = flag req "certify" ~default:false;
+      inject_fault = [];
+    }
   in
-  let audit = Option.value ~default:false (Protocol.bool_param req "audit") in
-  let st, warm = get_modular t ~budget ~mode ~count ~certify spec in
-  let quarantined =
-    if not audit then []
-    else begin
-      (* Module-level quarantine: a refuted module's engine state is
-         dropped (its rows degrade) while every other module stays warm;
-         each refutation is an incident for the server loop to log. *)
-      let refuted = Modular.self_audit ~budget st in
-      List.iter
-        (fun (m, detail) ->
-          t.n_incidents <- t.n_incidents + 1;
-          t.pending_incidents <-
-            (spec ^ "/" ^ m, detail) :: t.pending_incidents)
-        refuted;
-      List.map fst refuted
-    end
+  let audit = flag req "audit" ~default:false in
+  let warm =
+    Option.map
+      (fun slot ->
+        touch t slot;
+        slot.state)
+      (Hashtbl.find_opt t.modular_registry spec)
   in
-  let rp = Modular.report st in
-  [
-    ("network", Json.String spec);
-    ("warm", Json.Bool warm);
-    ("modules", Json.List (modular_health_rows rp));
-    ("routers", Json.Int rp.Modular.rp_routers);
-    ("skipped_anycast", Json.Int rp.Modular.rp_skipped_anycast);
-    ("faulted", Json.Bool (Modular.any_fault rp));
-    ( "quarantined",
-      Json.List (List.map (fun m -> Json.String m) quarantined) );
-  ]
+  let r = Op.ok_exn (Op_modular.run ~budget ?warm ~resolve:t.resolve params) in
+  (* Same warm-state policy as compress: a run where *every* module
+     faulted (e.g. an absurd request budget) is answered from but never
+     cached; partial health is the normal warm shape. *)
+  let rp = r.Op_modular.report in
+  let all_faulted =
+    List.compare_lengths (Modular.faulted rp) rp.Modular.rp_modules = 0
+  in
+  (match (warm, r.Op_modular.state) with
+  | None, Some st when not all_faulted -> insert t t.modular_registry spec st
+  | _ -> ());
+  match r.Op_modular.state with
+  | Some st when audit ->
+    (* Module-level quarantine: a refuted module's engine state is
+       dropped (its rows degrade) while every other module stays warm;
+       each refutation is an incident for the server loop to log. *)
+    let refuted = Modular.self_audit ~budget st in
+    List.iter (fun (m, detail) -> push_incident t (spec ^ "/" ^ m) detail) refuted;
+    Op_modular.to_json
+      {
+        r with
+        Op_modular.report = Modular.report st;
+        quarantined = List.map fst refuted;
+      }
+  | _ -> Op_modular.to_json r
 
 (* Test-only fault injection, enabled by BONSAI_TEST_HOOKS=1: silently
    corrupt one warm abstraction in place — move the largest member of a
@@ -798,13 +545,13 @@ let test_corrupt_op t req =
       match Hashtbl.find_opt t.modular_registry spec with
       | None -> failwith "network not warm (modular)"
       | Some men -> (
-        match Modular.module_summary men.men_state m with
+        match Modular.module_summary men.state m with
         | None -> Format.kasprintf failwith "module %S not warm" m
         | Some s -> s.Bonsai_api.results))
     | None -> (
       match Hashtbl.find_opt t.registry spec with
       | None -> failwith "network not warm"
-      | Some en -> (Incr.summary en.en_state).Bonsai_api.results)
+      | Some en -> (Incr.summary en.state).Bonsai_api.results)
   in
   if not (corrupt_results results) then
     failwith "no multi-member group to corrupt";
@@ -841,20 +588,20 @@ let health_op t ~queue_depth =
 let stats_op t ~queue_depth =
   let rows =
     Hashtbl.fold (fun _ en acc -> en :: acc) t.registry []
-    |> List.sort (fun a b -> String.compare a.en_spec b.en_spec)
+    |> List.sort (fun a b -> String.compare a.spec b.spec)
     |> List.map (fun en ->
-           let hits, misses = Incr.cache_stats en.en_state in
+           let hits, misses = Incr.cache_stats en.state in
            Json.Obj
              [
-               ("network", Json.String en.en_spec);
+               ("network", Json.String en.spec);
                ( "ecs",
                  Json.Int
                    (List.length
-                      (Incr.summary en.en_state).Bonsai_api.results) );
+                      (Incr.summary en.state).Bonsai_api.results) );
                ("cache_hits", Json.Int hits);
                ("cache_misses", Json.Int misses);
                ( "cache_evictions",
-                 Json.Int (Incr.cache_evictions en.en_state) );
+                 Json.Int (Incr.cache_evictions en.state) );
              ])
   in
   [
@@ -875,17 +622,17 @@ let stats_op t ~queue_depth =
 
 let dispatch t ~queue_depth (req : Protocol.request) =
   match req.Protocol.req_op with
-  | "compress" -> (compress_op t req, `Continue)
-  | "lint" -> (lint_op t req, `Continue)
-  | "flow" -> (flow_op t req, `Continue)
-  | "diff" -> (diff_op t req, `Continue)
-  | "dataplane-diff" -> (dataplane_diff_op t req, `Continue)
-  | "faults" -> (faults_op t req, `Continue)
-  | "harden" -> (harden_op t req, `Continue)
+  | "compress" -> (fields (compress_op t req), `Continue)
+  | "lint" -> (fields (lint_op t req), `Continue)
+  | "flow" -> (fields (flow_op t req), `Continue)
+  | "diff" -> (fields (diff_op t req), `Continue)
+  | "dataplane-diff" -> (fields (dataplane_diff_op t req), `Continue)
+  | "faults" -> (fields (faults_op t req), `Continue)
+  | "harden" -> (fields (harden_op t req), `Continue)
   | "load" -> (load_op t req, `Continue)
   | "unload" -> (unload_op t req, `Continue)
   | "audit" -> (audit_op t req, `Continue)
-  | "modular" -> (modular_op t req, `Continue)
+  | "modular" -> (fields (modular_op t req), `Continue)
   | "test-corrupt" when test_hooks_enabled () ->
     (test_corrupt_op t req, `Continue)
   | "health" -> (health_op t ~queue_depth, `Continue)
@@ -928,7 +675,7 @@ type payload = (string * Incr.state) list
 
 let checkpoint t ~path =
   let rows =
-    Hashtbl.fold (fun _ en acc -> (en.en_spec, en.en_state) :: acc)
+    Hashtbl.fold (fun _ en acc -> (en.spec, en.state) :: acc)
       t.registry []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in

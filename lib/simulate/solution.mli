@@ -28,9 +28,6 @@ val fwd : 'a t -> int -> (int * int) list
     ([≈]) as the chosen label. Empty for the destination and for
     unreachable nodes. *)
 
-val fwd_edges : 'a t -> (int * int) list
-(** All forwarding edges, sorted. *)
-
 val forwarding_paths : 'a t -> src:int -> max_len:int -> int list list
 (** All forwarding paths from [src] following [fwd] edges until the
     destination, a node with no forwarding edge (black hole), a repeated
